@@ -10,11 +10,12 @@
 //! sessions each, owners round-robined over the session pool).
 //!
 //! Before the measured run, a small **self-check** replays a few hundred
-//! owners (with churn) through both the dense sequential reference and the
-//! sparse scheduler and requires byte-identical normalized reports and
-//! adversary views — the same invariant the `sparse_tick_equivalence` suite
-//! pins, re-verified at the harness's own workload shape on every
-//! invocation.
+//! owners (with churn) twice — once with every strategy wrapped in
+//! [`EveryTick`], so every owner is consulted at every tick, and once on the
+//! strategies' native wake schedule — and requires byte-identical normalized
+//! reports and adversary views: the same invariant the
+//! `sparse_tick_equivalence` suite pins, re-verified at the harness's own
+//! workload shape on every invocation.
 //!
 //! Output: a metrics table (sync lag, dummy overhead, update-latency
 //! percentiles, ingest throughput) plus an optional BENCH-format JSON report
@@ -51,8 +52,8 @@ use dpsync_bench::report::TextTable;
 use dpsync_core::simulation::{Simulation, SimulationConfig};
 use dpsync_core::sparse::OwnerWorkload;
 use dpsync_core::strategy::{
-    AboveNoisyThresholdStrategy, CacheFlush, DpTimerStrategy, OneTimeOutsourcing, StrategyKind,
-    SyncStrategy, SynchronizeEveryTime, SynchronizeUponReceipt,
+    AboveNoisyThresholdStrategy, CacheFlush, DpTimerStrategy, EveryTick, OneTimeOutsourcing,
+    StrategyKind, SyncStrategy, SynchronizeEveryTime, SynchronizeUponReceipt,
 };
 use dpsync_crypto::{EncryptedRecord, MasterKey};
 use dpsync_dp::Epsilon;
@@ -396,15 +397,14 @@ fn simulation_for(config: &Config, fleet: &[OwnerWorkload]) -> Simulation {
     }
 }
 
-/// Replays a small churn-heavy fleet through both the dense sequential
-/// reference and the sparse scheduler; any byte difference in the normalized
-/// report or the adversary view aborts the run.
+/// Replays a small churn-heavy fleet with every strategy wrapped in
+/// [`EveryTick`] and on the native wake schedule; any byte difference in the
+/// normalized report or the adversary view aborts the run.
 fn self_check(config: &Config) {
     let mut profile = ScaleProfile::new(240, 192, config.seed);
     profile.mean_rate = 0.05;
     profile.churn_fraction = 0.25;
     let fleet = profile.generate();
-    let dense: Vec<_> = fleet.iter().map(|w| w.to_dense(profile.horizon)).collect();
     let sim = simulation_for(
         &Config {
             owners: 240,
@@ -417,8 +417,8 @@ fn self_check(config: &Config) {
 
     let reference_engine = ObliDbEngine::new(&master);
     let reference = sim
-        .run(&dense, &reference_engine, &master, |_| {
-            make_strategy(config.strategy)
+        .run_sparse(&fleet, profile.horizon, &reference_engine, &master, |_| {
+            Box::new(EveryTick(make_strategy(config.strategy)))
         })
         .expect("reference run succeeds")
         .normalized();
@@ -433,14 +433,14 @@ fn self_check(config: &Config) {
 
     if reference != sparse || reference_engine.adversary_view() != sparse_engine.adversary_view() {
         eprintln!(
-            "FAILED: sparse-tick self-check diverged from the dense reference \
+            "FAILED: sparse-tick self-check diverged from the every-tick reference \
              (strategy {:?}); not running the measured workload",
             config.strategy
         );
         std::process::exit(1);
     }
     println!(
-        "self-check: dense and sparse drivers byte-identical on {} churn owners / {} ticks",
+        "self-check: sparse and every-tick schedules byte-identical on {} churn owners / {} ticks",
         profile.owners, profile.horizon
     );
 }

@@ -18,7 +18,8 @@
 
 use dpsync_bench::experiments::tables::{table4_text, verify_update_pattern_privacy};
 use dpsync_bench::ExperimentConfig;
-use dpsync_core::simulation::{Simulation, SimulationConfig, TableWorkload};
+use dpsync_core::simulation::{Simulation, SimulationConfig};
+use dpsync_core::sparse::OwnerWorkload;
 use dpsync_core::strategy::DpTimerStrategy;
 use dpsync_crypto::MasterKey;
 use dpsync_dp::Epsilon;
@@ -36,26 +37,21 @@ fn indexed_run(seed: u64, policy: Option<LeakagePolicy>) -> AdversaryView {
         ("pick_time", DataType::Timestamp),
         ("pickup_id", DataType::Int),
     ]);
-    let workload = TableWorkload {
+    let workload = OwnerWorkload {
         table: "yellow".into(),
         schema,
         initial_rows: (0..12)
             .map(|i| Row::new(vec![Value::Timestamp(0), Value::Int(40 + i)]))
             .collect(),
-        arrivals: (1..=horizon)
-            .map(|t| {
-                if t % 4 == 0 {
-                    vec![Row::new(vec![
-                        Value::Timestamp(t),
-                        Value::Int((t % 150) as i64),
-                    ])]
-                } else {
-                    vec![]
-                }
-            })
-            .collect(),
         join_time: 0,
         leave_time: None,
+        arrivals: (4..=horizon)
+            .step_by(4)
+            .map(|t| {
+                let row = Row::new(vec![Value::Timestamp(t), Value::Int((t % 150) as i64)]);
+                (t, vec![row])
+            })
+            .collect(),
     };
     let sim = Simulation::new(SimulationConfig {
         query_interval: horizon / 4,
@@ -69,7 +65,7 @@ fn indexed_run(seed: u64, policy: Option<LeakagePolicy>) -> AdversaryView {
     };
     let master = MasterKey::from_bytes([0x7A; 32]);
     let engine = ObliDbEngine::new(&master);
-    sim.run_parallel(&[workload], &engine, &master, |_| {
+    sim.run_sparse(&[workload], horizon, &engine, &master, |_| {
         Box::new(DpTimerStrategy::with_flush(
             Epsilon::new_unchecked(1.0),
             30,

@@ -1,12 +1,13 @@
 //! Ablation study: how much of the DP strategies' behaviour comes from the
 //! cache-flush mechanism?
 //!
-//! DESIGN.md calls out the flush as the design choice that buys the strong
-//! "consistent eventually" property (P3) at the cost of a fixed dummy volume
-//! `η = s⌊t/f⌋` (Theorems 7/9).  This ablation runs each DP strategy with the
-//! flush enabled and disabled and reports the quantities that choice trades
-//! off: the final logical gap (does every record eventually reach the
-//! server?), the dummy volume, and the query error.
+//! The cache flush (paper §5.2.3; mapped in ARCHITECTURE.md §2) is the
+//! design choice that buys the strong "consistent eventually" property (P3)
+//! at the cost of a fixed dummy volume `η = s⌊t/f⌋` (Theorems 7/9).  This
+//! ablation runs each DP strategy with the flush enabled and disabled and
+//! reports the quantities that choice trades off: the final logical gap
+//! (does every record eventually reach the server?), the dummy volume, and
+//! the query error.
 
 use crate::experiments::config::{EngineKind, ExperimentConfig};
 use crate::experiments::runner::{build_run_engine, build_workloads, RunSpec};
@@ -54,7 +55,7 @@ fn run_with_flush(
     // `--transport tcp`), exactly like every other experiment runner; the
     // guard keeps a disk run's scratch directory alive for the run.
     let (engine, _disk_dir) = build_run_engine(&spec, &master);
-    let workloads = build_workloads(&spec);
+    let (workloads, horizon) = build_workloads(&spec);
     let eps = Epsilon::new_unchecked(config.params.epsilon);
     let sim = Simulation::new(SimulationConfig {
         query_interval: config.query_interval,
@@ -62,8 +63,9 @@ fn run_with_flush(
         queries: spec.query_set(),
         seed: config.seed,
     });
-    sim.run_parallel(
+    sim.run_sparse(
         &workloads,
+        horizon,
         engine.as_ref(),
         &master,
         |_| -> Box<dyn SyncStrategy> {

@@ -2,18 +2,20 @@
 //! fans batches of independent runs out over the worker pool.
 //!
 //! Determinism: every random stream in a run is derived from the run's own
-//! config seed (workload, owners, analyst), and within a run the sharded
-//! simulation driver is barrier-synchronized per time unit — so a batch of
-//! runs produces byte-identical [`SimulationReport`]s (up to wall-clock
-//! fields, see [`SimulationReport::normalized`]) whether it executes
-//! sequentially or on the pool, in any worker count.
+//! config seed (workload, owners, analyst), and each run drives its owners
+//! on one thread — so a batch of runs produces byte-identical
+//! [`SimulationReport`]s (up to wall-clock fields, see
+//! [`SimulationReport::normalized`]) whether it executes sequentially or on
+//! the pool, in any worker count.  The pool is where the parallelism lives:
+//! independent runs, not the owners of one run.
 
 use crate::experiments::config::{
     serve_addr, BackendKind, EngineKind, ExperimentConfig, ScratchDir, TransportKind,
 };
 use crate::pool::parallel_map;
 use dpsync_core::metrics::SimulationReport;
-use dpsync_core::simulation::{Simulation, SimulationConfig, TableWorkload};
+use dpsync_core::simulation::{Simulation, SimulationConfig};
+use dpsync_core::sparse::OwnerWorkload;
 use dpsync_core::strategy::StrategyKind;
 use dpsync_crypto::MasterKey;
 use dpsync_edb::backend::{BackendConfig, GroupCommitConfig, SegmentLogConfig};
@@ -160,12 +162,12 @@ pub fn build_run_engine(
     }
 }
 
-/// Builds the table workloads for a run.
-pub fn build_workloads(spec: &RunSpec) -> Vec<TableWorkload> {
-    let mut workloads = vec![spec
-        .config
-        .yellow_dataset()
-        .to_workload(queries::YELLOW_TABLE)];
+/// Builds the table workloads for a run and the horizon they span (both
+/// datasets cover the same scaled month).
+pub fn build_workloads(spec: &RunSpec) -> (Vec<OwnerWorkload>, u64) {
+    let yellow = spec.config.yellow_dataset();
+    let horizon = yellow.horizon();
+    let mut workloads = vec![yellow.to_workload(queries::YELLOW_TABLE)];
     if spec.includes_green() {
         workloads.push(
             spec.config
@@ -173,7 +175,7 @@ pub fn build_workloads(spec: &RunSpec) -> Vec<TableWorkload> {
                 .to_workload(queries::GREEN_TABLE),
         );
     }
-    workloads
+    (workloads, horizon)
 }
 
 fn simulation_for(spec: &RunSpec) -> Simulation {
@@ -186,37 +188,17 @@ fn simulation_for(spec: &RunSpec) -> Simulation {
 }
 
 /// Runs one full simulation and returns its report.
-///
-/// Uses the sharded driver (one owner thread per table); see
-/// [`run_simulation_sequential`] for the single-threaded reference.
 pub fn run_simulation(spec: &RunSpec) -> SimulationReport {
     let master = master_key(&spec.config);
     let (engine, _disk_dir) = build_run_engine(spec, &master);
-    let workloads = build_workloads(spec);
+    let (workloads, horizon) = build_workloads(spec);
     let report = simulation_for(spec)
-        .run_parallel(&workloads, engine.as_ref(), &master, |_| {
+        .run_sparse(&workloads, horizon, engine.as_ref(), &master, |_| {
             spec.config.params.build(spec.strategy)
         })
         .expect("simulation over generated workloads cannot fail");
     // `engine` drops before `_disk_dir`, so the segment files are closed
     // when the scratch directory is removed.
-    drop(engine);
-    report
-}
-
-/// Runs one full simulation on the single-threaded reference driver.
-///
-/// Exists so determinism tests (and suspicious readers) can check that the
-/// sharded path reproduces the sequential reports byte for byte.
-pub fn run_simulation_sequential(spec: &RunSpec) -> SimulationReport {
-    let master = master_key(&spec.config);
-    let (engine, _disk_dir) = build_run_engine(spec, &master);
-    let workloads = build_workloads(spec);
-    let report = simulation_for(spec)
-        .run(&workloads, engine.as_ref(), &master, |_| {
-            spec.config.params.build(spec.strategy)
-        })
-        .expect("simulation over generated workloads cannot fail");
     drop(engine);
     report
 }

@@ -24,5 +24,5 @@ pub mod report;
 pub use experiments::config::{
     BackendKind, EngineKind, ExperimentConfig, StrategyParams, TransportKind,
 };
-pub use experiments::runner::{run_simulation, run_simulation_sequential, run_specs, RunSpec};
+pub use experiments::runner::{run_simulation, run_specs, RunSpec};
 pub use pool::parallel_map;

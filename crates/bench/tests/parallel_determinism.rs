@@ -1,11 +1,11 @@
 //! The parallel experiment runner must be a pure speedup: for a fixed-seed
-//! sweep, the reports coming off the worker pool (and out of the sharded
-//! per-owner simulation driver) must be byte-identical to the sequential
-//! reference — wall-clock fields aside, which `normalized()` strips.
+//! sweep, the reports coming off the worker pool must be byte-identical to
+//! the same runs made one after another without the pool — wall-clock
+//! fields aside, which `normalized()` strips.
 
 use dpsync_bench::experiments::config::EngineKind;
 use dpsync_bench::pool::{parallel_map, set_worker_override};
-use dpsync_bench::{run_simulation_sequential, run_specs, ExperimentConfig, RunSpec};
+use dpsync_bench::{run_simulation, run_specs, ExperimentConfig, RunSpec};
 use dpsync_core::metrics::SimulationReport;
 use dpsync_core::strategy::StrategyKind;
 use std::num::NonZeroUsize;
@@ -58,9 +58,8 @@ fn normalize(reports: Vec<SimulationReport>) -> Vec<SimulationReport> {
 #[test]
 fn pooled_execution_is_deterministic() {
     let specs = sweep_specs();
-    // The sequential reference: single-threaded driver, no pool.
-    let sequential: Vec<SimulationReport> =
-        normalize(specs.iter().map(run_simulation_sequential).collect());
+    // The sequential reference: one run after another, no pool.
+    let sequential: Vec<SimulationReport> = normalize(specs.iter().map(run_simulation).collect());
 
     // The hosted CI box may report one core; force a real multi-worker pool
     // so the claim actually covers concurrent execution.

@@ -7,7 +7,7 @@
 //! synchronization carries, so that the server-visible update pattern is
 //! differentially private (Definition 5):
 //!
-//! * [`timeline`] — discrete time, logical updates, the growing database.
+//! * [`timeline`] — discrete time.
 //! * [`cache`] — the local cache σ (FIFO by default, LIFO optional) with the
 //!   paper's `len` / `write` / `read`-with-dummy-padding operations.
 //! * [`perturb`] — the `Perturb` operator (Algorithm 2).
@@ -20,12 +20,13 @@
 //!   errors against the logical database.
 //! * [`metrics`] — logical gap, query error, QET and size accounting
 //!   (§4.5), aggregated into a [`metrics::SimulationReport`].
-//! * [`simulation`] — the end-to-end driver that replays a workload through
-//!   an owner + engine + analyst and produces the report the experiment
-//!   harness turns into the paper's tables and figures.
-//! * [`sparse`] — the sparse-tick scheduler: an event-driven driver with the
-//!   same semantics as [`simulation`]'s dense drivers, built for 10^5–10^6
-//!   mostly-idle owners (ARCHITECTURE.md §9).
+//! * [`simulation`] — the driver's configuration: it replays a workload
+//!   through owners + engine + analyst and produces the report the
+//!   experiment harness turns into the paper's tables and figures.
+//! * [`sparse`] — the driver itself, its pre-run state and its workload
+//!   type ([`OwnerWorkload`]): an event-driven scheduler that wakes an owner
+//!   only at its arrivals, strategy deadlines and join tick, built for
+//!   10^5–10^6 mostly-idle owners (ARCHITECTURE.md §9).
 //! * [`privacy`] — the Table-4 mechanism simulators (`M_timer`, `M_ANT`) and
 //!   an empirical differential-privacy tester that backs Theorems 10/11 with
 //!   executable evidence.
@@ -47,7 +48,7 @@ pub mod timeline;
 pub use cache::{CachePolicy, LocalCache};
 pub use metrics::{SimulationReport, SizeSample};
 pub use owner::{Owner, TickReport};
-pub use simulation::{Simulation, SimulationConfig, TableWorkload};
+pub use simulation::{Simulation, SimulationConfig};
 pub use sparse::OwnerWorkload;
 pub use strategy::{StrategyKind, SyncDecision, SyncStrategy};
-pub use timeline::{GrowingDatabase, LogicalUpdate, Timestamp};
+pub use timeline::Timestamp;

@@ -6,109 +6,31 @@
 //! evaluation queries on a fixed schedule.  The driver also maintains the
 //! plaintext logical database so that every query answer can be scored
 //! against the ground truth, and samples storage sizes for the data-volume
-//! figures.  Its output, a [`SimulationReport`], is what the experiment
-//! binaries in `dpsync-bench` turn into the paper's tables and figures.
+//! figures.  Its output, a [`SimulationReport`](crate::SimulationReport), is
+//! what the experiment binaries in `dpsync-bench` turn into the paper's
+//! tables and figures.
 //!
-//! # Sequential vs. sharded vs. sparse execution
-//!
-//! Three drivers share the same semantics:
-//!
-//! * [`Simulation::run`] — the sequential reference: owners tick in workload
-//!   order on the calling thread.
-//! * [`Simulation::run_parallel`] — one worker thread per table owner, with a
-//!   barrier at every time unit.  The barrier is what preserves Definition 2:
-//!   the adversary-visible update pattern is a set of `(t, |γ_t|)` events,
-//!   and since no owner enters time unit `t + 1` before every owner finished
-//!   `t` (and the analyst only runs between ticks), the transcript the server
-//!   assembles is identical to the sequential driver's — only the
-//!   intra-tick interleaving of independent per-table uploads differs, and
-//!   the server storage merges those into a canonical order.
-//! * [`Simulation::run_sparse`] (in [`crate::sparse`]) — an event-driven
-//!   scheduler that skips ticks on which no owner has work, built for
-//!   10^5–10^6 mostly-idle owners; see ARCHITECTURE.md §9.
-//!
-//! With fixed seeds all drivers produce identical reports up to measured
-//! wall-clock fields; see [`SimulationReport::normalized`].
+//! This module holds the driver's configuration; the driver itself,
+//! [`Simulation::run_sparse`], is an event-driven scheduler over
+//! [`OwnerWorkload`]s that lives in [`crate::sparse`] together with its
+//! pre-run state (ARCHITECTURE.md §9).  With a fixed seed its reports are
+//! reproducible up to measured wall-clock fields; see
+//! [`SimulationReport::normalized`](crate::SimulationReport::normalized).
 //!
 //! # Owner churn
 //!
-//! A [`TableWorkload`] may give its owner a `join_time` and/or `leave_time`:
+//! An [`OwnerWorkload`] may give its owner a `join_time` and/or `leave_time`:
 //! the owner's `Π_Setup` then runs at the join tick instead of during
 //! preparation, followed immediately by a normal tick (so records arriving
 //! exactly at the join tick are delivered, not dropped), and the owner is
 //! never ticked outside its active window `join_time ≤ t ≤ leave_time`.
-//! All three drivers apply identical churn semantics.
+//!
+//! [`Analyst`]: crate::analyst::Analyst
+//! [`Owner`]: crate::owner::Owner
+//! [`OwnerWorkload`]: crate::sparse::OwnerWorkload
 
-use crate::analyst::{Analyst, NamedQuery};
-use crate::metrics::{SimulationReport, SizeSample};
-use crate::owner::Owner;
-use crate::strategy::{StrategyKind, SyncStrategy};
-use crate::timeline::Timestamp;
-use dpsync_crypto::MasterKey;
-use dpsync_dp::DpRng;
-use dpsync_edb::exec::PlainDatabase;
 use dpsync_edb::planner::LeakagePolicy;
-use dpsync_edb::sogdb::{EdbError, SecureOutsourcedDatabase};
-use dpsync_edb::{Query, Row, Schema};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
-use std::thread;
-
-/// The workload for one outsourced table.
-#[derive(Debug, Clone)]
-pub struct TableWorkload {
-    /// Table name ("yellow", "green").
-    pub table: String,
-    /// Table schema.
-    pub schema: Schema,
-    /// Initial database `D₀`.
-    pub initial_rows: Vec<Row>,
-    /// Arrivals per time unit: `arrivals[t - 1]` are the rows received at
-    /// time `t` (empty vectors model `u_t = ∅`).  Arrivals indexed outside
-    /// the owner's active window (see [`TableWorkload::active_at`]) are
-    /// skipped by every driver.
-    pub arrivals: Vec<Vec<Row>>,
-    /// The tick at which the owner joins the simulation.  `0` (the default)
-    /// means the owner is present from the start and `Π_Setup` runs during
-    /// preparation; `J > 0` defers `Π_Setup` (and the insertion of
-    /// `initial_rows` into the ground truth) to tick `J`, modelling an owner
-    /// who comes online mid-run.  The join tick is part of the active
-    /// window: after the deferred `Π_Setup` the owner is ticked normally, so
-    /// arrivals landing exactly at tick `J` reach its cache like any others.
-    pub join_time: u64,
-    /// The last tick at which the owner is online, inclusive; `None` keeps
-    /// the owner for the whole run.  After `leave_time` the owner is never
-    /// ticked again — whatever its cache holds stays unsynced.
-    pub leave_time: Option<u64>,
-}
-
-impl TableWorkload {
-    /// Number of time units covered by this workload.
-    pub fn horizon(&self) -> u64 {
-        self.arrivals.len() as u64
-    }
-
-    /// Total rows (initial plus arrivals).
-    pub fn total_rows(&self) -> u64 {
-        self.initial_rows.len() as u64 + self.arrivals.iter().map(|a| a.len() as u64).sum::<u64>()
-    }
-
-    /// Whether the owner is online and tickable at time `t`: from its join
-    /// tick (inclusive — a deferred `Π_Setup` runs there first, then the
-    /// owner ticks normally) through its leave tick, inclusive.
-    pub fn active_at(&self, t: u64) -> bool {
-        t >= self.join_time && self.leave_time.is_none_or(|leave| t <= leave)
-    }
-
-    /// The rows arriving at time `t` (1-based; empty past the horizon).
-    fn arrivals_at(&self, t: u64) -> &[Row] {
-        self.arrivals
-            .get((t - 1) as usize)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-}
+use dpsync_edb::Query;
 
 /// Simulation configuration.
 #[derive(Debug, Clone)]
@@ -137,34 +59,6 @@ impl SimulationConfig {
     }
 }
 
-/// What the drivers need to know about one owner before the clock starts:
-/// a borrowed view shared by the dense ([`TableWorkload`]) and sparse
-/// ([`crate::sparse::OwnerWorkload`]) workload representations so both go
-/// through one `Π_Setup` / RNG-derivation code path.
-pub(crate) struct OwnerSpec<'a> {
-    pub(crate) table: &'a str,
-    pub(crate) schema: &'a Schema,
-    pub(crate) initial_rows: &'a [Row],
-    pub(crate) join_time: u64,
-}
-
-/// Pre-run state shared by all drivers: present-from-the-start owners set
-/// up, logical database seeded with their initial rows, per-component RNGs
-/// derived.  Owners joining mid-run keep their setup RNG in `setup_rngs`
-/// until their join tick.
-pub(crate) struct PreparedRun {
-    pub(crate) owners: Vec<Owner>,
-    pub(crate) owner_rngs: Vec<DpRng>,
-    pub(crate) setup_rngs: Vec<Option<DpRng>>,
-    pub(crate) analyst: Analyst,
-    pub(crate) analyst_rng: DpRng,
-    pub(crate) logical: PlainDatabase,
-    pub(crate) sync_count: u64,
-    pub(crate) strategy_kind: StrategyKind,
-    pub(crate) epsilon: Option<f64>,
-    pub(crate) horizon: u64,
-}
-
 /// The simulation driver.
 #[derive(Debug, Clone)]
 pub struct Simulation {
@@ -187,6 +81,8 @@ impl Simulation {
     /// materialized views (see [`Analyst::with_views`]).  Released answers
     /// and the adversary view are byte-identical to the scan path; only
     /// measured query latencies change.
+    ///
+    /// [`Analyst::with_views`]: crate::analyst::Analyst::with_views
     pub fn with_views(mut self) -> Self {
         self.use_views = true;
         self.index_policy = None;
@@ -197,6 +93,8 @@ impl Simulation {
     /// indexes under `policy` (see [`Analyst::with_indexes`]).  Released
     /// answers are byte-identical to the scan path; under
     /// [`LeakagePolicy::TranscriptOnly`] so is the adversary view.
+    ///
+    /// [`Analyst::with_indexes`]: crate::analyst::Analyst::with_indexes
     pub fn with_indexes(mut self, policy: LeakagePolicy) -> Self {
         self.index_policy = Some(policy);
         self.use_views = false;
@@ -217,442 +115,22 @@ impl Simulation {
     pub fn index_policy(&self) -> Option<LeakagePolicy> {
         self.index_policy
     }
-
-    /// Runs `Π_Setup` for every table present from the start and derives the
-    /// per-component RNG streams.  Shared between the sequential and the
-    /// parallel driver so that both start from bit-identical state.
-    fn prepare(
-        &self,
-        workloads: &[TableWorkload],
-        engine: &dyn SecureOutsourcedDatabase,
-        master: &MasterKey,
-        make_strategy: impl FnMut(&str) -> Box<dyn SyncStrategy>,
-    ) -> Result<PreparedRun, EdbError> {
-        let specs: Vec<OwnerSpec<'_>> = workloads
-            .iter()
-            .map(|w| OwnerSpec {
-                table: &w.table,
-                schema: &w.schema,
-                initial_rows: &w.initial_rows,
-                join_time: w.join_time,
-            })
-            .collect();
-        let horizon = workloads
-            .iter()
-            .map(TableWorkload::horizon)
-            .max()
-            .unwrap_or(0);
-        let engines: Vec<&dyn SecureOutsourcedDatabase> = vec![engine; workloads.len()];
-        self.prepare_specs(&specs, horizon, &engines, master, make_strategy)
-    }
-
-    /// The shared preparation path behind [`Simulation::prepare`] and the
-    /// sparse-tick driver: one engine reference per owner (the dense drivers
-    /// pass the same engine for all), explicit horizon.
-    ///
-    /// `DpRng::derive` is stateless and label-keyed, so the per-owner streams
-    /// (`owner/{table}`, `owner-ticks/{table}`) and the analyst stream are
-    /// identical no matter which driver derives them or in what order.
-    pub(crate) fn prepare_specs(
-        &self,
-        specs: &[OwnerSpec<'_>],
-        horizon: u64,
-        engines: &[&dyn SecureOutsourcedDatabase],
-        master: &MasterKey,
-        mut make_strategy: impl FnMut(&str) -> Box<dyn SyncStrategy>,
-    ) -> Result<PreparedRun, EdbError> {
-        assert!(!specs.is_empty(), "at least one table workload is required");
-        assert_eq!(specs.len(), engines.len(), "one engine reference per owner");
-        let rng = DpRng::seed_from_u64(self.config.seed);
-
-        let mut logical = PlainDatabase::new();
-        for spec in specs {
-            logical.create_table(spec.table, spec.schema.clone());
-        }
-
-        let mut owners: Vec<Owner> = Vec::with_capacity(specs.len());
-        let mut setup_rngs: Vec<Option<DpRng>> = Vec::with_capacity(specs.len());
-        let mut sync_count = 0u64;
-        let mut strategy_kind = None;
-        let mut epsilon = None;
-        for (spec, engine) in specs.iter().zip(engines) {
-            let strategy = make_strategy(spec.table);
-            strategy_kind.get_or_insert(strategy.kind());
-            if epsilon.is_none() {
-                epsilon = strategy.epsilon().map(|e| e.value());
-            }
-            let mut owner = Owner::new(spec.table, spec.schema.clone(), master, strategy);
-            let mut owner_rng = rng.derive(&format!("owner/{}", spec.table));
-            if spec.join_time == 0 {
-                for row in spec.initial_rows {
-                    logical.insert(spec.table, row.clone());
-                }
-                owner.setup(spec.initial_rows.to_vec(), *engine, &mut owner_rng)?;
-                sync_count += 1;
-                setup_rngs.push(None);
-            } else {
-                // The owner joins mid-run: Π_Setup is deferred to its join
-                // tick, but its RNG stream is derived here from the same
-                // label so the transcript is a pure function of the seed.
-                setup_rngs.push(Some(owner_rng));
-            }
-            owners.push(owner);
-        }
-
-        let named: Vec<NamedQuery> = self
-            .config
-            .queries
-            .iter()
-            .map(|(label, q)| NamedQuery::new(label.clone(), q.clone()))
-            .collect();
-        let analyst = if self.use_views {
-            Analyst::with_views(named)
-        } else if let Some(policy) = self.index_policy {
-            Analyst::with_indexes(named, policy)
-        } else {
-            Analyst::new(named)
-        };
-        let analyst_rng = rng.derive("analyst");
-        let owner_rngs: Vec<DpRng> = specs
-            .iter()
-            .map(|spec| rng.derive(&format!("owner-ticks/{}", spec.table)))
-            .collect();
-
-        Ok(PreparedRun {
-            owners,
-            owner_rngs,
-            setup_rngs,
-            analyst,
-            analyst_rng,
-            logical,
-            sync_count,
-            strategy_kind: strategy_kind.expect("at least one workload"),
-            epsilon,
-            horizon,
-        })
-    }
-
-    /// Runs the simulation sequentially (the reference driver).
-    ///
-    /// * `workloads` — one entry per table; all are replayed on a shared clock.
-    /// * `engine` — the shared encrypted database.
-    /// * `master` — the owners' master key (must be the key the engine was
-    ///   constructed with).
-    /// * `make_strategy` — called once per table to create that owner's
-    ///   strategy instance.
-    pub fn run(
-        &self,
-        workloads: &[TableWorkload],
-        engine: &dyn SecureOutsourcedDatabase,
-        master: &MasterKey,
-        make_strategy: impl FnMut(&str) -> Box<dyn SyncStrategy>,
-    ) -> Result<SimulationReport, EdbError> {
-        let mut run = self.prepare(workloads, engine, master, make_strategy)?;
-        let mut query_samples = Vec::new();
-        let mut size_samples = Vec::new();
-
-        for t in 1..=run.horizon {
-            let time = Timestamp(t);
-            for (((owner, workload), owner_rng), setup_rng) in run
-                .owners
-                .iter_mut()
-                .zip(workloads)
-                .zip(run.owner_rngs.iter_mut())
-                .zip(run.setup_rngs.iter_mut())
-            {
-                if t == workload.join_time {
-                    for row in &workload.initial_rows {
-                        run.logical.insert(&workload.table, row.clone());
-                    }
-                    let rng = setup_rng.as_mut().expect("join tick reached once");
-                    owner.setup(workload.initial_rows.clone(), engine, rng)?;
-                    run.sync_count += 1;
-                }
-                // The join tick is inside the active window: a freshly
-                // set-up owner immediately ticks, delivering any arrivals
-                // landing exactly at its join tick.
-                if workload.active_at(t) {
-                    let arrivals = workload.arrivals_at(t);
-                    for row in arrivals {
-                        run.logical.insert(&workload.table, row.clone());
-                    }
-                    let report = owner.tick(time, arrivals, engine, owner_rng)?;
-                    if report.synced {
-                        run.sync_count += 1;
-                    }
-                }
-            }
-
-            if self.config.query_interval > 0 && t % self.config.query_interval == 0 {
-                query_samples.extend(run.analyst.pose_all(
-                    time,
-                    engine,
-                    &run.logical,
-                    &mut run.analyst_rng,
-                )?);
-            }
-
-            if (self.config.size_sample_interval > 0 && t % self.config.size_sample_interval == 0)
-                || t == run.horizon
-            {
-                let gap = run.owners.iter().map(Owner::logical_gap).sum();
-                size_samples.push(self.sample_sizes(
-                    time,
-                    workloads.iter().map(|w| w.table.as_str()),
-                    engine,
-                    gap,
-                    &run.logical,
-                ));
-            }
-        }
-
-        Ok(SimulationReport {
-            strategy: run.strategy_kind,
-            engine: engine.name().to_string(),
-            epsilon: run.epsilon,
-            query_samples,
-            size_samples,
-            sync_count: run.sync_count,
-            horizon: run.horizon,
-        })
-    }
-
-    /// Runs the simulation with one worker thread per table owner.
-    ///
-    /// Every owner advances in lock-step with a barrier per time unit, so the
-    /// adversary-visible update-pattern semantics of Definition 2 are
-    /// unchanged: an upload at time `t` can never be reordered across a tick
-    /// boundary, and the analyst observes the engine only at tick boundaries
-    /// with all owners parked.  With a fixed seed the report is identical to
-    /// [`Simulation::run`]'s up to measured wall-clock fields (compare via
-    /// [`SimulationReport::normalized`]).
-    pub fn run_parallel(
-        &self,
-        workloads: &[TableWorkload],
-        engine: &dyn SecureOutsourcedDatabase,
-        master: &MasterKey,
-        make_strategy: impl FnMut(&str) -> Box<dyn SyncStrategy>,
-    ) -> Result<SimulationReport, EdbError> {
-        let mut run = self.prepare(workloads, engine, master, make_strategy)?;
-        let horizon = run.horizon;
-        let mut query_samples = Vec::new();
-        let mut size_samples = Vec::new();
-
-        // One slot per owner, refreshed after every tick, so the main thread
-        // can take size samples at tick boundaries without touching owners.
-        let gaps: Vec<AtomicU64> = run
-            .owners
-            .iter()
-            .map(|o| AtomicU64::new(o.logical_gap()))
-            .collect();
-        // First error wins; once set, every thread (owners and main) idles
-        // through the remaining barriers so nobody deadlocks.  Panics are
-        // caught the same way (a dead thread would otherwise strand everyone
-        // else on the barrier forever) and re-thrown after the scope ends.
-        let failure: Mutex<Option<EdbError>> = Mutex::new(None);
-        let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        let barrier = Barrier::new(run.owners.len() + 1);
-
-        let owners = std::mem::take(&mut run.owners);
-        let owner_rngs = std::mem::take(&mut run.owner_rngs);
-        let setup_rngs = std::mem::take(&mut run.setup_rngs);
-
-        thread::scope(|scope| {
-            let handles: Vec<_> = owners
-                .into_iter()
-                .zip(workloads)
-                .zip(owner_rngs)
-                .zip(setup_rngs)
-                .enumerate()
-                .map(
-                    |(index, (((mut owner, workload), mut owner_rng), mut setup_rng))| {
-                        let barrier = &barrier;
-                        let failure = &failure;
-                        let panicked = &panicked;
-                        let gaps = &gaps;
-                        scope.spawn(move || {
-                            let mut synced = 0u64;
-                            for t in 1..=horizon {
-                                barrier.wait();
-                                if failure.lock().is_none() && panicked.lock().is_none() {
-                                    let tick = std::panic::catch_unwind(
-                                        std::panic::AssertUnwindSafe(|| {
-                                            let mut syncs = 0u64;
-                                            if t == workload.join_time {
-                                                let rng = setup_rng
-                                                    .as_mut()
-                                                    .expect("join tick reached once");
-                                                syncs += u64::from(
-                                                    owner
-                                                        .setup(
-                                                            workload.initial_rows.clone(),
-                                                            engine,
-                                                            rng,
-                                                        )?
-                                                        .synced,
-                                                );
-                                            }
-                                            // Join tick included: deliver
-                                            // join-tick arrivals right after
-                                            // the deferred setup.
-                                            if workload.active_at(t) {
-                                                syncs += u64::from(
-                                                    owner
-                                                        .tick(
-                                                            Timestamp(t),
-                                                            workload.arrivals_at(t),
-                                                            engine,
-                                                            &mut owner_rng,
-                                                        )?
-                                                        .synced,
-                                                );
-                                            }
-                                            Ok(syncs)
-                                        }),
-                                    );
-                                    match tick {
-                                        Ok(Ok(tick_syncs)) => {
-                                            synced += tick_syncs;
-                                            gaps[index]
-                                                .store(owner.logical_gap(), Ordering::Release);
-                                        }
-                                        Ok(Err(e)) => {
-                                            failure.lock().get_or_insert(e);
-                                        }
-                                        Err(payload) => {
-                                            panicked.lock().get_or_insert(payload);
-                                        }
-                                    }
-                                }
-                                barrier.wait();
-                            }
-                            synced
-                        })
-                    },
-                )
-                .collect();
-
-            for t in 1..=horizon {
-                let time = Timestamp(t);
-                // Release the owners into tick t; maintain the ground truth
-                // concurrently (owners never touch the logical database).
-                barrier.wait();
-                if failure.lock().is_none() && panicked.lock().is_none() {
-                    for w in workloads {
-                        if t == w.join_time {
-                            for row in &w.initial_rows {
-                                run.logical.insert(&w.table, row.clone());
-                            }
-                        }
-                        if w.active_at(t) {
-                            for row in w.arrivals_at(t) {
-                                run.logical.insert(&w.table, row.clone());
-                            }
-                        }
-                    }
-                }
-                // All owners finished tick t and are parked until the next
-                // barrier, so the analyst sees a stable engine state.
-                barrier.wait();
-                if failure.lock().is_some() || panicked.lock().is_some() {
-                    continue;
-                }
-
-                if self.config.query_interval > 0 && t % self.config.query_interval == 0 {
-                    match run
-                        .analyst
-                        .pose_all(time, engine, &run.logical, &mut run.analyst_rng)
-                    {
-                        Ok(samples) => query_samples.extend(samples),
-                        Err(e) => {
-                            failure.lock().get_or_insert(e);
-                            continue;
-                        }
-                    }
-                }
-
-                if (self.config.size_sample_interval > 0
-                    && t % self.config.size_sample_interval == 0)
-                    || t == horizon
-                {
-                    let gap = gaps.iter().map(|g| g.load(Ordering::Acquire)).sum();
-                    size_samples.push(self.sample_sizes(
-                        time,
-                        workloads.iter().map(|w| w.table.as_str()),
-                        engine,
-                        gap,
-                        &run.logical,
-                    ));
-                }
-            }
-
-            for handle in handles {
-                run.sync_count += handle.join().expect("owner thread panicked");
-            }
-        });
-
-        // Re-throw a caught owner panic with its original payload, matching
-        // the sequential driver's abort-with-message behaviour.
-        if let Some(payload) = panicked.into_inner() {
-            std::panic::resume_unwind(payload);
-        }
-        if let Some(e) = failure.into_inner() {
-            return Err(e);
-        }
-
-        Ok(SimulationReport {
-            strategy: run.strategy_kind,
-            engine: engine.name().to_string(),
-            epsilon: run.epsilon,
-            query_samples,
-            size_samples,
-            sync_count: run.sync_count,
-            horizon,
-        })
-    }
-
-    pub(crate) fn sample_sizes<'a>(
-        &self,
-        time: Timestamp,
-        tables: impl IntoIterator<Item = &'a str>,
-        engine: &dyn SecureOutsourcedDatabase,
-        logical_gap: u64,
-        logical: &PlainDatabase,
-    ) -> SizeSample {
-        let mut outsourced_records = 0u64;
-        let mut outsourced_bytes = 0u64;
-        let mut dummy_records = 0u64;
-        let mut dummy_bytes = 0u64;
-        for table in tables {
-            let stats = engine.table_stats(table);
-            outsourced_records += stats.ciphertext_count;
-            outsourced_bytes += stats.ciphertext_bytes;
-            dummy_records += stats.dummy_records;
-            dummy_bytes += stats.dummy_bytes();
-        }
-        SizeSample {
-            time: time.value(),
-            outsourced_records,
-            outsourced_bytes,
-            dummy_records,
-            dummy_bytes,
-            logical_records: logical.total_rows() as u64,
-            logical_gap,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::SimulationReport;
+    use crate::sparse::OwnerWorkload;
     use crate::strategy::{
         AboveNoisyThresholdStrategy, CacheFlush, DpTimerStrategy, OneTimeOutsourcing, StrategyKind,
-        SynchronizeEveryTime, SynchronizeUponReceipt,
+        SyncStrategy, SynchronizeEveryTime, SynchronizeUponReceipt,
     };
+    use dpsync_crypto::MasterKey;
     use dpsync_dp::Epsilon;
     use dpsync_edb::engines::ObliDbEngine;
     use dpsync_edb::query::paper_queries;
-    use dpsync_edb::{DataType, Value};
+    use dpsync_edb::{DataType, Row, Schema, Value};
 
     fn schema() -> Schema {
         Schema::from_pairs(&[
@@ -666,22 +144,17 @@ mod tests {
     }
 
     /// A small deterministic workload: one arrival every other tick.
-    fn workload(horizon: u64) -> TableWorkload {
-        TableWorkload {
+    fn workload(horizon: u64) -> OwnerWorkload {
+        OwnerWorkload {
             table: "yellow".into(),
             schema: schema(),
             initial_rows: (0..5).map(|i| row(0, 50 + i)).collect(),
-            arrivals: (1..=horizon)
-                .map(|t| {
-                    if t % 2 == 0 {
-                        vec![row(t, (t % 200) as i64)]
-                    } else {
-                        vec![]
-                    }
-                })
-                .collect(),
             join_time: 0,
             leave_time: None,
+            arrivals: (2..=horizon)
+                .step_by(2)
+                .map(|t| (t, vec![row(t, (t % 200) as i64)]))
+                .collect(),
         }
     }
 
@@ -719,7 +192,7 @@ mod tests {
         let master = MasterKey::from_bytes([5u8; 32]);
         let engine = ObliDbEngine::new(&master);
         let sim = Simulation::new(config(horizon));
-        sim.run(&[workload(horizon)], &engine, &master, |_| {
+        sim.run_sparse(&[workload(horizon)], horizon, &engine, &master, |_| {
             strategy_for(strategy)
         })
         .unwrap()
@@ -787,7 +260,7 @@ mod tests {
         let mut green = workload(400);
         green.table = "green".into();
         let report = sim
-            .run(&[workload(400), green], &engine, &master, |_| {
+            .run_sparse(&[workload(400), green], 400, &engine, &master, |_| {
                 Box::new(SynchronizeUponReceipt::new())
             })
             .unwrap();
@@ -805,56 +278,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_driver_matches_sequential_driver() {
-        // One owner per table on its own thread, barrier per tick: the report
-        // must be bit-identical (up to wall clock) to the sequential driver.
-        for kind in [
-            StrategyKind::Sur,
-            StrategyKind::DpTimer,
-            StrategyKind::DpAnt,
-        ] {
-            let master = MasterKey::from_bytes([6u8; 32]);
-            let mut cfg = config(400);
-            cfg.queries = vec![
-                ("Q2".into(), paper_queries::q2_group_by_count("yellow")),
-                ("Q3".into(), paper_queries::q3_join_count("yellow", "green")),
-            ];
-            let sim = Simulation::new(cfg);
-            let mut green = workload(400);
-            green.table = "green".into();
-            let workloads = [workload(400), green];
-
-            let sequential_engine = ObliDbEngine::new(&master);
-            let sequential = sim
-                .run(&workloads, &sequential_engine, &master, |_| {
-                    strategy_for(kind)
-                })
-                .unwrap()
-                .normalized();
-
-            let parallel_engine = ObliDbEngine::new(&master);
-            let parallel = sim
-                .run_parallel(&workloads, &parallel_engine, &master, |_| {
-                    strategy_for(kind)
-                })
-                .unwrap()
-                .normalized();
-
-            assert_eq!(sequential, parallel, "driver mismatch for {kind:?}");
-            // The adversary transcripts must merge to the same canonical view.
-            assert_eq!(
-                sequential_engine.adversary_view(),
-                parallel_engine.adversary_view(),
-                "transcript mismatch for {kind:?}"
-            );
-        }
-    }
-
-    #[test]
     fn workload_accessors() {
-        let w = workload(100);
-        assert_eq!(w.horizon(), 100);
+        let mut w = workload(100);
         assert_eq!(w.total_rows(), 5 + 50);
+        assert!(w.active_at(0) && w.active_at(100));
+        // Both edges of the active window are inclusive.
+        w.join_time = 14;
+        w.leave_time = Some(28);
+        assert!(w.active_at(14) && w.active_at(28));
+        assert!(!w.active_at(13) && !w.active_at(29));
         let cfg = SimulationConfig::paper_default(vec![], 1);
         assert_eq!(cfg.query_interval, 360);
         assert_eq!(cfg.size_sample_interval, 7200);

@@ -1,12 +1,11 @@
-//! The sparse-tick simulation driver: event-driven scheduling for fleets of
+//! The simulation driver: event-driven scheduling for fleets of
 //! mostly-idle owners.
 //!
-//! The dense drivers ([`Simulation::run`], [`Simulation::run_parallel`]) step
-//! every owner through every time unit, which costs `O(owners × horizon)`
-//! even when almost every tick is a no-op.  At the scale the harness targets
-//! (10^5–10^6 owners, see `exp_scale` in `dpsync-bench`) a typical owner has
-//! work at a few dozen ticks out of thousands, so this module replaces the
-//! per-tick sweep with a time-ordered **ready queue** of
+//! Stepping every owner through every time unit costs
+//! `O(owners × horizon)` even when almost every tick is a no-op.  At the
+//! scale the harness targets (10^5–10^6 owners, see `exp_scale` in
+//! `dpsync-bench`) a typical owner has work at a few dozen ticks out of
+//! thousands, so the driver keeps a time-ordered **ready queue** of
 //! `(next-event-time, owner)` entries and only wakes owners that have work:
 //!
 //! * an **arrival** — records reaching the owner's cache at that tick;
@@ -17,14 +16,16 @@
 //! * the owner's **join tick** when it enters the simulation mid-run.
 //!
 //! The analyst still observes the engine exactly at tick boundaries, so the
-//! Definition 2 transcript — the set of `(t, |γ_t|)` update events — is
-//! unchanged: elided ticks are precisely those on which no owner would have
-//! acted and no randomness would have been drawn, so eliding them reorders
-//! nothing the adversary observes and perturbs no RNG stream.  The full
-//! argument lives in ARCHITECTURE.md §9; the invariant is pinned by the
-//! `sparse_tick_equivalence` integration suite, which requires normalized
-//! reports and adversary views byte-identical to the dense reference drivers
-//! under fixed seeds.
+//! Definition 2 transcript — the set of `(t, |γ_t|)` update events — is the
+//! one an every-tick sweep would produce: elided ticks are precisely those
+//! on which no owner would have acted and no randomness would have been
+//! drawn, so eliding them reorders nothing the adversary observes and
+//! perturbs no RNG stream.  The full argument lives in ARCHITECTURE.md §9;
+//! the invariant is pinned by the `sparse_tick_equivalence` integration
+//! suite, which requires normalized reports and adversary views
+//! byte-identical to the same driver with every strategy wrapped in
+//! [`EveryTick`](crate::strategy::EveryTick), which consults every owner at
+//! every tick of its active window.
 //!
 //! # Ready-queue invariants
 //!
@@ -34,25 +35,29 @@
 //! 2. At most one entry per owner is in the queue at any moment; popping it
 //!    processes the owner and pushes its next event (if any).
 //! 3. Entries are popped in `(time, owner index)` order — the min-heap over
-//!    `(u64, usize)` tuples breaks time ties by owner index, matching the
-//!    dense drivers' per-tick owner iteration order exactly.
+//!    `(u64, usize)` tuples breaks time ties by owner index, so owners act
+//!    within a tick in workload order.
 //! 4. Observation boundaries (analyst queries, size samples, the horizon)
 //!    are merged into the same timeline: the loop never advances past the
-//!    next boundary, so the analyst runs at exactly the ticks the dense
-//!    drivers run it, with all owner work at that tick already applied.
+//!    next boundary, so the analyst runs at exactly the multiples of its
+//!    intervals, with all owner work at that tick already applied.
 
-use crate::metrics::SimulationReport;
-use crate::simulation::{OwnerSpec, Simulation, TableWorkload};
-use crate::strategy::SyncStrategy;
+use crate::analyst::{Analyst, NamedQuery};
+use crate::metrics::{SimulationReport, SizeSample};
+use crate::owner::Owner;
+use crate::simulation::Simulation;
+use crate::strategy::{StrategyKind, SyncStrategy};
 use crate::timeline::Timestamp;
 use dpsync_crypto::MasterKey;
+use dpsync_dp::DpRng;
+use dpsync_edb::exec::PlainDatabase;
 use dpsync_edb::sogdb::{EdbError, SecureOutsourcedDatabase};
 use dpsync_edb::{Row, Schema};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// The workload for one owner in sparse (event-list) form: arrivals are kept
-/// as a sorted `(time, rows)` list instead of one vector slot per tick, so a
+/// The workload for one owner in event-list form: arrivals are kept as a
+/// sorted `(time, rows)` list instead of one vector slot per tick, so a
 /// million mostly-idle owners cost memory proportional to their *events*,
 /// not to the horizon.
 #[derive(Debug, Clone)]
@@ -63,22 +68,30 @@ pub struct OwnerWorkload {
     pub schema: Schema,
     /// Initial database `D₀`, outsourced at setup.
     pub initial_rows: Vec<Row>,
-    /// Tick at which the owner joins (`0` = present from the start; see
-    /// [`TableWorkload::join_time`]).
+    /// The tick at which the owner joins the simulation.  `0` means the
+    /// owner is present from the start and `Π_Setup` runs during
+    /// preparation; `J > 0` defers `Π_Setup` (and the insertion of
+    /// `initial_rows` into the ground truth) to tick `J`, modelling an owner
+    /// who comes online mid-run.  The join tick is part of the active
+    /// window: after the deferred `Π_Setup` the owner is ticked normally, so
+    /// arrivals landing exactly at tick `J` reach its cache like any others.
     pub join_time: u64,
-    /// Last tick the owner is online, inclusive (`None` = whole run; see
-    /// [`TableWorkload::leave_time`]).
+    /// The last tick at which the owner is online, inclusive; `None` keeps
+    /// the owner for the whole run.  After `leave_time` the owner is never
+    /// ticked again — whatever its cache holds stays unsynced.
     pub leave_time: Option<u64>,
-    /// Arrival events, strictly increasing in time, each with a non-empty
-    /// batch of rows; every time must lie inside the owner's active window
-    /// (`join_time ≤ t ≤ leave_time` — the join tick itself may carry
-    /// arrivals, delivered right after the deferred `Π_Setup`).
+    /// Arrival events, strictly increasing in time, each at a tick `≥ 1`
+    /// inside the owner's active window ([`OwnerWorkload::active_at`]).
+    /// Ticks without an event model `u_t = ∅`; events past the horizon are
+    /// never delivered.  The driver panics on a list that breaks this
+    /// contract rather than silently dropping batches.
     pub arrivals: Vec<(u64, Vec<Row>)>,
 }
 
 impl OwnerWorkload {
-    /// Whether the owner is online and tickable at time `t` (same semantics
-    /// as [`TableWorkload::active_at`]).
+    /// Whether the owner is online and tickable at time `t`: from its join
+    /// tick (inclusive — a deferred `Π_Setup` runs there first, then the
+    /// owner ticks normally) through its leave tick, inclusive.
     pub fn active_at(&self, t: u64) -> bool {
         t >= self.join_time && self.leave_time.is_none_or(|leave| t <= leave)
     }
@@ -93,68 +106,57 @@ impl OwnerWorkload {
                 .sum::<u64>()
     }
 
-    /// The time of the last arrival event, if any.
-    pub fn last_arrival_time(&self) -> Option<u64> {
-        self.arrivals.last().map(|(t, _)| *t)
-    }
-
-    /// Expands back into the dense per-tick representation over
-    /// `1..=horizon` (arrivals past `horizon` are dropped).  Used by the
-    /// equivalence suite to replay the same workload through the dense
-    /// reference drivers.
-    pub fn to_dense(&self, horizon: u64) -> TableWorkload {
-        let mut arrivals: Vec<Vec<Row>> = vec![Vec::new(); horizon as usize];
-        for (t, rows) in &self.arrivals {
-            if (1..=horizon).contains(t) {
-                arrivals[(*t - 1) as usize] = rows.clone();
-            }
-        }
-        TableWorkload {
-            table: self.table.clone(),
-            schema: self.schema.clone(),
-            initial_rows: self.initial_rows.clone(),
-            arrivals,
-            join_time: self.join_time,
-            leave_time: self.leave_time,
+    /// Panics unless the arrival ticks are strictly increasing, `≥ 1` and
+    /// inside the active window.  The driver advances an owner's arrival
+    /// cursor only when its tick comes up, so one out-of-contract entry
+    /// would otherwise stall the cursor and drop every later batch from the
+    /// engine and the ground truth alike.
+    fn assert_well_formed(&self) {
+        let mut previous = 0;
+        for (t, _) in &self.arrivals {
+            assert!(
+                *t > previous && self.active_at(*t),
+                "table {}: arrival at tick {t} breaks the OwnerWorkload contract \
+                 (ticks strictly increasing, >= 1, inside the active window)",
+                self.table
+            );
+            previous = *t;
         }
     }
 }
 
-impl From<&TableWorkload> for OwnerWorkload {
-    /// Compresses a dense workload into event-list form, keeping only
-    /// non-empty arrival batches inside the owner's active window (the dense
-    /// drivers skip out-of-window arrivals too, so nothing observable is
-    /// lost).
-    fn from(dense: &TableWorkload) -> Self {
-        let arrivals = dense
-            .arrivals
-            .iter()
-            .enumerate()
-            .filter_map(|(index, rows)| {
-                let t = index as u64 + 1;
-                (!rows.is_empty() && dense.active_at(t)).then(|| (t, rows.clone()))
-            })
-            .collect();
-        Self {
-            table: dense.table.clone(),
-            schema: dense.schema.clone(),
-            initial_rows: dense.initial_rows.clone(),
-            join_time: dense.join_time,
-            leave_time: dense.leave_time,
-            arrivals,
-        }
-    }
+/// Pre-run state: present-from-the-start owners set up, logical database
+/// seeded with their initial rows, per-component RNGs derived.  Owners
+/// joining mid-run keep their setup RNG in `setup_rngs` until their join
+/// tick.
+struct PreparedRun {
+    owners: Vec<Owner>,
+    owner_rngs: Vec<DpRng>,
+    setup_rngs: Vec<Option<DpRng>>,
+    analyst: Analyst,
+    analyst_rng: DpRng,
+    logical: PlainDatabase,
+    sync_count: u64,
+    strategy_kind: StrategyKind,
+    epsilon: Option<f64>,
 }
 
 impl Simulation {
-    /// Runs the simulation with the sparse-tick scheduler against one shared
-    /// engine.
+    /// Runs the simulation against one shared engine.
     ///
-    /// Semantically identical to [`Simulation::run`] on the dense expansion
-    /// of `workloads` (see [`OwnerWorkload::to_dense`]): with a fixed seed
-    /// the normalized report and the engine's adversary view are
-    /// byte-identical.  The difference is cost — `O(events + boundaries)`
-    /// owner work instead of `O(owners × horizon)`.
+    /// * `workloads` — one entry per owner (table); all are replayed on a
+    ///   shared clock.
+    /// * `horizon` — the last tick; the run covers ticks `1..=horizon` and
+    ///   always takes a size sample at the horizon.
+    /// * `engine` — the shared encrypted database.
+    /// * `master` — the owners' master key (must be the key the engine was
+    ///   constructed with).
+    /// * `make_strategy` — called once per table to create that owner's
+    ///   strategy instance.
+    ///
+    /// Owner work costs `O(events + boundaries)` rather than
+    /// `O(owners × horizon)`.  Panics if an arrival list breaks the
+    /// [`OwnerWorkload::arrivals`] contract.
     pub fn run_sparse(
         &self,
         workloads: &[OwnerWorkload],
@@ -184,16 +186,10 @@ impl Simulation {
         master: &MasterKey,
         make_strategy: impl FnMut(&str) -> Box<dyn SyncStrategy>,
     ) -> Result<SimulationReport, EdbError> {
-        let specs: Vec<OwnerSpec<'_>> = workloads
-            .iter()
-            .map(|w| OwnerSpec {
-                table: &w.table,
-                schema: &w.schema,
-                initial_rows: &w.initial_rows,
-                join_time: w.join_time,
-            })
-            .collect();
-        let mut run = self.prepare_specs(&specs, horizon, owner_engines, master, make_strategy)?;
+        for w in workloads {
+            w.assert_well_formed();
+        }
+        let mut run = self.prepare(workloads, owner_engines, master, make_strategy)?;
         let mut query_samples = Vec::new();
         let mut size_samples = Vec::new();
 
@@ -201,8 +197,8 @@ impl Simulation {
         // arrival before the cursor has been delivered.
         let mut cursors = vec![0usize; workloads.len()];
         // The ready queue: `Reverse` turns `BinaryHeap`'s max-heap into a
-        // min-heap, and tuple ordering breaks equal times by owner index —
-        // exactly the dense drivers' per-tick iteration order.
+        // min-heap, and tuple ordering breaks equal times by owner index, so
+        // owners act within a tick in workload order.
         let mut queue: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
 
         // An owner's events never extend past its leave tick or the horizon.
@@ -211,28 +207,25 @@ impl Simulation {
         // The next tick strictly after `now` at which owner `i` has work:
         // its next undelivered arrival or its strategy's wake deadline,
         // whichever comes first, clamped to the owner's active window.
-        let next_event = |run: &crate::simulation::PreparedRun,
-                          cursors: &[usize],
-                          i: usize,
-                          now: u64|
-         -> Option<u64> {
-            let w = &workloads[i];
-            let mut next: Option<u64> = w
-                .arrivals
-                .get(cursors[i])
-                .map(|(t, _)| *t)
-                .filter(|t| *t > now);
-            if let Some(wake) = run.owners[i].strategy().next_wake(Timestamp(now)) {
-                // Defensive clamp: the contract says strictly after `now`.
-                let wake = wake.value().max(now + 1);
-                next = Some(next.map_or(wake, |n| n.min(wake)));
-            }
-            next.filter(|t| *t <= bound(w))
-        };
+        let next_event =
+            |run: &PreparedRun, cursors: &[usize], i: usize, now: u64| -> Option<u64> {
+                let w = &workloads[i];
+                let mut next: Option<u64> = w
+                    .arrivals
+                    .get(cursors[i])
+                    .map(|(t, _)| *t)
+                    .filter(|t| *t > now);
+                if let Some(wake) = run.owners[i].strategy().next_wake(Timestamp(now)) {
+                    // Defensive clamp: the contract says strictly after `now`.
+                    let wake = wake.value().max(now + 1);
+                    next = Some(next.map_or(wake, |n| n.min(wake)));
+                }
+                next.filter(|t| *t <= bound(w))
+            };
 
         // Seed the queue: joined owners from their first post-zero event,
         // late joiners from their join tick (Π_Setup runs there even when
-        // the active window is empty, matching the dense drivers).
+        // the active window is empty).
         for (i, w) in workloads.iter().enumerate() {
             if w.join_time == 0 {
                 if let Some(t) = next_event(&run, &cursors, i, 0) {
@@ -280,7 +273,7 @@ impl Simulation {
                 }
                 // The join tick is inside the active window: the freshly
                 // set-up owner ticks immediately, so arrivals landing on its
-                // join tick are delivered exactly as the dense drivers do.
+                // join tick are delivered right after the deferred setup.
                 if w.active_at(t) {
                     let arrivals: &[Row] = match w.arrivals.get(cursors[i]) {
                         Some((arrival_time, rows)) if *arrival_time == t => {
@@ -307,7 +300,7 @@ impl Simulation {
                 }
             }
 
-            // 2. The analyst observes at exactly the dense drivers' ticks.
+            // 2. The analyst observes at exactly the multiples of its interval.
             if qi > 0 && t.is_multiple_of(qi) {
                 query_samples.extend(run.analyst.pose_all(
                     time,
@@ -344,14 +337,133 @@ impl Simulation {
             horizon,
         })
     }
+
+    /// Runs `Π_Setup` for every owner present from the start and derives the
+    /// per-component RNG streams; `engines[i]` carries owner `i`'s setup.
+    ///
+    /// `DpRng::derive` is stateless and label-keyed, so the per-owner streams
+    /// (`owner/{table}`, `owner-ticks/{table}`) and the analyst stream do not
+    /// depend on the order in which they are derived.
+    fn prepare(
+        &self,
+        workloads: &[OwnerWorkload],
+        engines: &[&dyn SecureOutsourcedDatabase],
+        master: &MasterKey,
+        mut make_strategy: impl FnMut(&str) -> Box<dyn SyncStrategy>,
+    ) -> Result<PreparedRun, EdbError> {
+        assert!(
+            !workloads.is_empty(),
+            "at least one table workload is required"
+        );
+        assert_eq!(
+            workloads.len(),
+            engines.len(),
+            "one engine reference per owner"
+        );
+        let rng = DpRng::seed_from_u64(self.config().seed);
+
+        let mut logical = PlainDatabase::new();
+        for w in workloads {
+            logical.create_table(&w.table, w.schema.clone());
+        }
+
+        let mut owners: Vec<Owner> = Vec::with_capacity(workloads.len());
+        let mut setup_rngs: Vec<Option<DpRng>> = Vec::with_capacity(workloads.len());
+        let mut sync_count = 0u64;
+        let mut strategy_kind = None;
+        let mut epsilon = None;
+        for (w, engine) in workloads.iter().zip(engines) {
+            let strategy = make_strategy(&w.table);
+            strategy_kind.get_or_insert(strategy.kind());
+            if epsilon.is_none() {
+                epsilon = strategy.epsilon().map(|e| e.value());
+            }
+            let mut owner = Owner::new(&w.table, w.schema.clone(), master, strategy);
+            let mut owner_rng = rng.derive(&format!("owner/{}", w.table));
+            if w.join_time == 0 {
+                for row in &w.initial_rows {
+                    logical.insert(&w.table, row.clone());
+                }
+                owner.setup(w.initial_rows.clone(), *engine, &mut owner_rng)?;
+                sync_count += 1;
+                setup_rngs.push(None);
+            } else {
+                // The owner joins mid-run: Π_Setup is deferred to its join
+                // tick, but its RNG stream is derived here from the same
+                // label so the transcript is a pure function of the seed.
+                setup_rngs.push(Some(owner_rng));
+            }
+            owners.push(owner);
+        }
+
+        let named: Vec<NamedQuery> = self
+            .config()
+            .queries
+            .iter()
+            .map(|(label, q)| NamedQuery::new(label.clone(), q.clone()))
+            .collect();
+        let analyst = if self.uses_views() {
+            Analyst::with_views(named)
+        } else if let Some(policy) = self.index_policy() {
+            Analyst::with_indexes(named, policy)
+        } else {
+            Analyst::new(named)
+        };
+        let analyst_rng = rng.derive("analyst");
+        let owner_rngs: Vec<DpRng> = workloads
+            .iter()
+            .map(|w| rng.derive(&format!("owner-ticks/{}", w.table)))
+            .collect();
+
+        Ok(PreparedRun {
+            owners,
+            owner_rngs,
+            setup_rngs,
+            analyst,
+            analyst_rng,
+            logical,
+            sync_count,
+            strategy_kind: strategy_kind.expect("at least one workload"),
+            epsilon,
+        })
+    }
+
+    fn sample_sizes<'a>(
+        &self,
+        time: Timestamp,
+        tables: impl IntoIterator<Item = &'a str>,
+        engine: &dyn SecureOutsourcedDatabase,
+        logical_gap: u64,
+        logical: &PlainDatabase,
+    ) -> SizeSample {
+        let mut outsourced_records = 0u64;
+        let mut outsourced_bytes = 0u64;
+        let mut dummy_records = 0u64;
+        let mut dummy_bytes = 0u64;
+        for table in tables {
+            let stats = engine.table_stats(table);
+            outsourced_records += stats.ciphertext_count;
+            outsourced_bytes += stats.ciphertext_bytes;
+            dummy_records += stats.dummy_records;
+            dummy_bytes += stats.dummy_bytes();
+        }
+        SizeSample {
+            time: time.value(),
+            outsourced_records,
+            outsourced_bytes,
+            dummy_records,
+            dummy_bytes,
+            logical_records: logical.total_rows() as u64,
+            logical_gap,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::simulation::SimulationConfig;
-    use crate::strategy::{CacheFlush, DpTimerStrategy, SynchronizeUponReceipt};
-    use dpsync_dp::Epsilon;
+    use crate::strategy::SynchronizeUponReceipt;
     use dpsync_edb::engines::ObliDbEngine;
     use dpsync_edb::query::paper_queries;
     use dpsync_edb::{DataType, Value};
@@ -367,98 +479,104 @@ mod tests {
         Row::new(vec![Value::Timestamp(t), Value::Int(p)])
     }
 
-    fn dense_workload(horizon: u64) -> TableWorkload {
-        TableWorkload {
-            table: "yellow".into(),
+    /// A SUR owner of `table` holding one initial row.
+    fn sur_owner(table: &str, join_time: u64, arrivals: &[u64]) -> OwnerWorkload {
+        OwnerWorkload {
+            table: table.into(),
             schema: schema(),
-            initial_rows: (0..5).map(|i| row(0, 50 + i)).collect(),
-            arrivals: (1..=horizon)
-                .map(|t| {
-                    if t % 7 == 0 {
-                        vec![row(t, (t % 100) as i64)]
-                    } else {
-                        vec![]
-                    }
-                })
-                .collect(),
-            join_time: 0,
+            initial_rows: vec![row(0, 1)],
+            join_time,
             leave_time: None,
+            arrivals: arrivals.iter().map(|&t| (t, vec![row(t, 2)])).collect(),
         }
     }
 
-    #[test]
-    fn dense_sparse_round_trip() {
-        let dense = dense_workload(50);
-        let sparse = OwnerWorkload::from(&dense);
-        assert_eq!(sparse.arrivals.len(), 7); // t = 7, 14, ..., 49
-        assert_eq!(sparse.total_rows(), dense.total_rows());
-        assert_eq!(sparse.last_arrival_time(), Some(49));
-        let back = sparse.to_dense(50);
-        assert_eq!(back.arrivals, dense.arrivals);
-        assert_eq!(back.join_time, 0);
-        assert_eq!(back.leave_time, None);
+    /// Runs SUR owners with the given analyst schedule; returns the report.
+    fn run_sur(
+        workloads: &[OwnerWorkload],
+        horizon: u64,
+        query_interval: u64,
+        size_sample_interval: u64,
+    ) -> SimulationReport {
+        let master = MasterKey::from_bytes([3u8; 32]);
+        let engine = ObliDbEngine::new(&master);
+        let sim = Simulation::new(SimulationConfig {
+            query_interval,
+            size_sample_interval,
+            queries: vec![
+                ("Q1".into(), paper_queries::q1_range_count("yellow")),
+                ("Q2".into(), paper_queries::q2_group_by_count("yellow")),
+            ],
+            seed: 7,
+        });
+        sim.run_sparse(workloads, horizon, &engine, &master, |_| {
+            Box::new(SynchronizeUponReceipt::new())
+        })
+        .unwrap()
     }
 
     #[test]
-    fn from_dense_drops_out_of_window_arrivals() {
-        let mut dense = dense_workload(50);
-        dense.join_time = 14;
-        dense.leave_time = Some(28);
-        let sparse = OwnerWorkload::from(&dense);
-        // t = 14 (exactly the join tick), 21, 28 (exactly the leave tick)
-        // survive; 7 (< join), 35, 42, 49 (> leave) do not.
-        assert_eq!(
-            sparse.arrivals.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
-            vec![14, 21, 28]
-        );
-        assert!(sparse.active_at(14) && sparse.active_at(28));
-        assert!(!sparse.active_at(13) && !sparse.active_at(29));
+    #[should_panic(expected = "table yellow: arrival at tick 5 breaks")]
+    fn repeated_arrival_tick_is_rejected() {
+        run_sur(&[sur_owner("yellow", 0, &[5, 5, 9])], 30, 0, 0);
     }
 
     #[test]
-    fn sparse_matches_dense_reference() {
-        let horizon = 400u64;
-        let master = MasterKey::from_bytes([9u8; 32]);
-        let config = SimulationConfig {
-            query_interval: 50,
-            size_sample_interval: 100,
-            queries: vec![("Q1".into(), paper_queries::q1_range_count("yellow"))],
-            seed: 41,
+    #[should_panic(expected = "table yellow: arrival at tick 0 breaks")]
+    fn arrival_at_tick_zero_is_rejected() {
+        run_sur(&[sur_owner("yellow", 0, &[0, 9])], 30, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "table yellow: arrival at tick 5 breaks")]
+    fn decreasing_arrival_ticks_are_rejected() {
+        run_sur(&[sur_owner("yellow", 0, &[9, 5])], 30, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "table yellow: arrival at tick 3 breaks")]
+    fn arrival_before_the_join_tick_is_rejected() {
+        run_sur(&[sur_owner("yellow", 10, &[3, 20])], 30, 0, 0);
+    }
+
+    #[test]
+    fn analyst_observes_exactly_at_interval_multiples() {
+        // No owner acts at an observation tick: SUR never asks to be woken,
+        // the two arrivals (t = 3, 26) and the late join (t = 5) fall between
+        // the multiples of 7 and 11, and the horizon is a multiple of
+        // neither interval.
+        let fleet = [sur_owner("yellow", 0, &[3, 26]), sur_owner("green", 5, &[])];
+        let horizon = 40;
+        let query_times = |report: &SimulationReport| {
+            let mut got: Vec<(u64, String)> = report
+                .query_samples
+                .iter()
+                .map(|s| (s.time, s.query.clone()))
+                .collect();
+            got.sort();
+            got
         };
-        let sim = Simulation::new(config);
-        let dense = dense_workload(horizon);
-        let sparse = OwnerWorkload::from(&dense);
-        let make = |_: &str| -> Box<dyn SyncStrategy> {
-            Box::new(DpTimerStrategy::with_flush(
-                Epsilon::new_unchecked(0.5),
-                30,
-                Some(CacheFlush::new(200, 15)),
-            ))
+        let size_times = |report: &SimulationReport| -> Vec<u64> {
+            report.size_samples.iter().map(|s| s.time).collect()
+        };
+        let every = |interval: u64| -> Vec<(u64, String)> {
+            (interval..=horizon)
+                .step_by(interval as usize)
+                .flat_map(|t| [(t, "Q1".to_string()), (t, "Q2".to_string())])
+                .collect()
         };
 
-        let dense_engine = ObliDbEngine::new(&master);
-        let reference = sim
-            .run(std::slice::from_ref(&dense), &dense_engine, &master, make)
-            .unwrap()
-            .normalized();
+        let report = run_sur(&fleet, horizon, 7, 11);
+        assert_eq!(query_times(&report), every(7));
+        assert_eq!(size_times(&report), vec![11, 22, 33, 40]);
 
-        let sparse_engine = ObliDbEngine::new(&master);
-        let report = sim
-            .run_sparse(
-                std::slice::from_ref(&sparse),
-                horizon,
-                &sparse_engine,
-                &master,
-                make,
-            )
-            .unwrap()
-            .normalized();
+        let report = run_sur(&fleet, horizon, 0, 11);
+        assert!(report.query_samples.is_empty());
+        assert_eq!(size_times(&report), vec![11, 22, 33, 40]);
 
-        assert_eq!(reference, report);
-        assert_eq!(
-            dense_engine.adversary_view(),
-            sparse_engine.adversary_view()
-        );
+        let report = run_sur(&fleet, horizon, 7, 0);
+        assert_eq!(query_times(&report), every(7));
+        assert_eq!(size_times(&report), vec![40]);
     }
 
     #[test]

@@ -138,8 +138,8 @@ pub struct TickContext {
 
 /// A synchronization strategy (the paper's `Sync` algorithm).
 ///
-/// `Send` so a `Box<dyn SyncStrategy>` can move into a per-table owner
-/// thread when the simulation drives owners concurrently.
+/// `Send` so a `Box<dyn SyncStrategy>` can move into the thread that drives
+/// its owner.
 pub trait SyncStrategy: Send {
     /// Which strategy this is.
     fn kind(&self) -> StrategyKind;
@@ -160,7 +160,7 @@ pub trait SyncStrategy: Send {
     /// consulted *even if no records arrive*, or `None` when only an arrival
     /// can make it act again.
     ///
-    /// This is the contract the sparse-tick scheduler
+    /// This is the contract the simulation driver
     /// ([`crate::simulation::Simulation::run_sparse`]) elides idle ticks on:
     /// for every `t` with `now < t < next_wake(now)`, calling
     /// [`SyncStrategy::on_tick`] at `t` with `arrived == 0` must return
@@ -169,7 +169,8 @@ pub trait SyncStrategy: Send {
     /// of those things must keep the dense default (`now + 1`), which makes
     /// elision a no-op.  The equivalence suite
     /// (`crates/core/tests/sparse_tick_equivalence.rs`) pins the contract:
-    /// transcripts must stay byte-identical to the every-tick drivers.
+    /// transcripts must stay byte-identical to the same run with the
+    /// strategy wrapped in [`EveryTick`], which keeps the dense default.
     ///
     /// * DP-Timer wakes only at period and flush boundaries (its idle
     ///   non-boundary ticks touch nothing).
@@ -183,6 +184,40 @@ pub trait SyncStrategy: Send {
     /// The privacy-expenditure ledger, when the strategy keeps one.
     fn accountant(&self) -> Option<&PrivacyAccountant> {
         None
+    }
+}
+
+/// Wraps a strategy so the driver consults it at every tick of its owner's
+/// active window.
+///
+/// Every method is forwarded to the inner strategy except
+/// [`SyncStrategy::next_wake`], which keeps the dense default (`now + 1`).
+/// Wrapping therefore changes no decision, draw or transcript byte of a
+/// strategy that honours the `next_wake` contract; the equivalence suite and
+/// `exp_scale`'s self-check use it as the reference the sparse schedule is
+/// compared against.
+pub struct EveryTick(pub Box<dyn SyncStrategy>);
+
+impl SyncStrategy for EveryTick {
+    fn kind(&self) -> StrategyKind {
+        self.0.kind()
+    }
+
+    fn epsilon(&self) -> Option<Epsilon> {
+        self.0.epsilon()
+    }
+
+    fn initial_fetch(&mut self, initial_size: u64, rng: &mut dyn RngCore) -> u64 {
+        self.0.initial_fetch(initial_size, rng)
+    }
+
+    fn on_tick(&mut self, ctx: &TickContext, rng: &mut dyn RngCore) -> SyncDecision {
+        self.0.on_tick(ctx, rng)
+    }
+
+    // Forwarded explicitly: the trait default would hide the inner ledger.
+    fn accountant(&self) -> Option<&PrivacyAccountant> {
+        self.0.accountant()
     }
 }
 
@@ -203,6 +238,19 @@ mod tests {
         assert!(StrategyKind::Sur.privacy_label().contains('∞'));
         assert!(StrategyKind::Oto.privacy_label().contains("0-DP"));
         assert!(StrategyKind::DpTimer.privacy_label().contains("ε"));
+    }
+
+    #[test]
+    fn every_tick_forwards_all_but_next_wake() {
+        let inner = DpTimerStrategy::new(Epsilon::new_unchecked(0.5), 30);
+        assert_eq!(inner.next_wake(Timestamp(1)), Some(Timestamp(30)));
+        let wrapped = EveryTick(Box::new(inner));
+        assert_eq!(wrapped.next_wake(Timestamp(1)), Some(Timestamp(2)));
+        assert_eq!(wrapped.kind(), StrategyKind::DpTimer);
+        assert_eq!(wrapped.epsilon(), Some(Epsilon::new_unchecked(0.5)));
+        assert!(wrapped.accountant().is_some());
+        let sur = EveryTick(Box::new(SynchronizeUponReceipt::new()));
+        assert_eq!(sur.next_wake(Timestamp(9)), Some(Timestamp(10)));
     }
 
     #[test]

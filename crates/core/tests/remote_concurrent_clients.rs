@@ -4,11 +4,10 @@
 //! tables against one shared engine behind a loopback server, interleaving
 //! `Π_Update` with `Π_Query`s posed by a separate analyst client.  With a
 //! barrier per time unit (no upload crosses a tick boundary; the analyst
-//! runs only with all owners parked, exactly the sharded driver's
-//! discipline), the server's canonical merged transcript must equal the
-//! transcript of a single-threaded, in-process reference run — Definition 2
-//! is about the *set* of `(t, |γ_t|)` events, so neither thread interleaving
-//! nor the socket hop may be visible in it.
+//! runs only with all owners parked), the server's canonical merged
+//! transcript must equal the transcript of a single-threaded, in-process
+//! reference run — Definition 2 is about the *set* of `(t, |γ_t|)` events,
+//! so neither thread interleaving nor the socket hop may be visible in it.
 
 use dpsync_core::owner::Owner;
 use dpsync_core::strategy::{

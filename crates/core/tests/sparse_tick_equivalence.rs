@@ -1,13 +1,14 @@
 //! Sparse-tick equivalence suite: eliding idle ticks must be invisible in
 //! everything DP-Sync's guarantees are stated over.
 //!
-//! The sparse-tick scheduler ([`Simulation::run_sparse`], ARCHITECTURE.md
-//! §9) skips every tick on which no owner has work.  Definition 2's
-//! adversary observes the update pattern — the set of `(t, |γ_t|)` events —
-//! and the analyst observes query answers at tick boundaries, so on a
-//! fixed-seed workload the sparse driver must leave three things
-//! byte-identical to the dense reference drivers (sequential and
-//! barrier-parallel):
+//! The simulation driver ([`Simulation::run_sparse`], ARCHITECTURE.md §9)
+//! skips every tick on which no owner has work, trusting each strategy's
+//! `next_wake`.  Definition 2's adversary observes the update pattern — the
+//! set of `(t, |γ_t|)` events — and the analyst observes query answers at
+//! tick boundaries, so on a fixed-seed workload the native wake schedule
+//! must leave three things byte-identical to the reference run, in which
+//! every strategy is wrapped in [`EveryTick`] and so consulted at every tick
+//! of its owner's active window:
 //!
 //! 1. every query answer the analyst receives,
 //! 2. the full [`SimulationReport::normalized`] (errors, sizes, sync
@@ -18,14 +19,14 @@
 //! The suite covers every engine × {SET, DP-Timer, DP-ANT} — the strategies
 //! with the three distinct wake behaviours (dense every tick, boundary-only,
 //! dense with per-tick noise) — plus a churn workload where owners join and
-//! leave mid-run, exercising deferred `Π_Setup` on all three drivers.
+//! leave mid-run, exercising deferred `Π_Setup` on both schedules.
 
 use dpsync_core::metrics::SimulationReport;
-use dpsync_core::simulation::{Simulation, SimulationConfig, TableWorkload};
+use dpsync_core::simulation::{Simulation, SimulationConfig};
 use dpsync_core::sparse::OwnerWorkload;
 use dpsync_core::strategy::{
-    AboveNoisyThresholdStrategy, CacheFlush, DpTimerStrategy, StrategyKind, SyncStrategy,
-    SynchronizeEveryTime,
+    AboveNoisyThresholdStrategy, CacheFlush, DpTimerStrategy, EveryTick, StrategyKind,
+    SyncStrategy, SynchronizeEveryTime,
 };
 use dpsync_crypto::MasterKey;
 use dpsync_dp::Epsilon;
@@ -45,30 +46,30 @@ fn row(t: u64, p: i64) -> Row {
     Row::new(vec![Value::Timestamp(t), Value::Int(p)])
 }
 
-fn make_table(name: &str, offset: u64, horizon: u64) -> TableWorkload {
-    TableWorkload {
+fn make_table(name: &str, offset: u64, horizon: u64) -> OwnerWorkload {
+    OwnerWorkload {
         table: name.into(),
         schema: schema(),
         initial_rows: (0..8).map(|i| row(0, 40 + offset as i64 + i)).collect(),
+        join_time: 0,
+        leave_time: None,
         arrivals: (1..=horizon)
-            .map(|t| {
+            .filter_map(|t| {
                 if (t + offset).is_multiple_of(3) {
-                    vec![row(t, ((t + offset) % 150) as i64)]
+                    Some((t, vec![row(t, ((t + offset) % 150) as i64)]))
                 } else if (t + offset).is_multiple_of(17) {
-                    vec![row(t, 60), row(t, 61)]
+                    Some((t, vec![row(t, 60), row(t, 61)]))
                 } else {
-                    vec![]
+                    None
                 }
             })
             .collect(),
-        join_time: 0,
-        leave_time: None,
     }
 }
 
 /// The backend-equivalence suite's two-table workload: bursts and quiet
 /// stretches, no churn.
-fn steady_workloads(horizon: u64) -> Vec<TableWorkload> {
+fn steady_workloads(horizon: u64) -> Vec<OwnerWorkload> {
     vec![
         make_table("yellow", 0, horizon),
         make_table("green", 5, horizon),
@@ -77,11 +78,17 @@ fn steady_workloads(horizon: u64) -> Vec<TableWorkload> {
 
 /// Three tables with churn: `yellow` is present for the whole run (and is
 /// the only table queried), `late` joins mid-run, `early` leaves mid-run.
-fn churn_workloads(horizon: u64) -> Vec<TableWorkload> {
+/// Each keeps only the arrivals inside its active window, and `early` gets
+/// one batch exactly at its leave tick.
+fn churn_workloads(horizon: u64) -> Vec<OwnerWorkload> {
     let mut late = make_table("late", 2, horizon);
     late.join_time = horizon / 3;
+    late.arrivals.retain(|(t, _)| *t >= late.join_time);
     let mut early = make_table("early", 7, horizon);
-    early.leave_time = Some(horizon / 2);
+    let leave = horizon / 2;
+    early.leave_time = Some(leave);
+    early.arrivals.retain(|(t, _)| *t < leave);
+    early.arrivals.push((leave, vec![row(leave, 9)]));
     vec![make_table("yellow", 0, horizon), late, early]
 }
 
@@ -118,46 +125,41 @@ fn strategy_for(kind: StrategyKind) -> Box<dyn SyncStrategy> {
     }
 }
 
-enum Driver {
-    Sequential,
-    Parallel,
-    Sparse,
-}
-
-/// Runs one fixed-seed simulation through the chosen driver; returns the
+/// Runs one fixed-seed simulation, with every strategy wrapped in
+/// [`EveryTick`] (the reference) or on its native wake schedule; returns the
 /// normalized report and the final adversary view.
 fn run_driver(
-    driver: Driver,
+    every_tick: bool,
     engine: &dyn SecureOutsourcedDatabase,
-    dense: &[TableWorkload],
+    workloads: &[OwnerWorkload],
     kind: StrategyKind,
     horizon: u64,
     seed: u64,
 ) -> (SimulationReport, AdversaryView) {
     let master = MasterKey::from_bytes([0xEE; 32]);
-    let join = matches!(engine.name(), "oblidb") && dense.iter().any(|w| w.table == "green");
+    let join = matches!(engine.name(), "oblidb") && workloads.iter().any(|w| w.table == "green");
     let sim = simulation(horizon, seed, join);
-    let report = match driver {
-        Driver::Sequential => sim.run(dense, engine, &master, |_| strategy_for(kind)),
-        Driver::Parallel => sim.run_parallel(dense, engine, &master, |_| strategy_for(kind)),
-        Driver::Sparse => {
-            let sparse: Vec<OwnerWorkload> = dense.iter().map(OwnerWorkload::from).collect();
-            sim.run_sparse(&sparse, horizon, engine, &master, |_| strategy_for(kind))
-        }
-    }
-    .expect("simulation succeeds")
-    .normalized();
+    let report = sim
+        .run_sparse(workloads, horizon, engine, &master, |_| {
+            if every_tick {
+                Box::new(EveryTick(strategy_for(kind)))
+            } else {
+                strategy_for(kind)
+            }
+        })
+        .expect("simulation succeeds")
+        .normalized();
     (report, engine.adversary_view())
 }
 
 fn assert_drivers_agree(
-    workloads_for: impl Fn(u64) -> Vec<TableWorkload>,
+    workloads_for: impl Fn(u64) -> Vec<OwnerWorkload>,
     horizon: u64,
     seed: u64,
     label: &str,
 ) {
     let master = MasterKey::from_bytes([0xEE; 32]);
-    let dense = workloads_for(horizon);
+    let workloads = workloads_for(horizon);
     for engine_kind in EngineKind::ALL {
         for strategy in [
             StrategyKind::Set,
@@ -166,48 +168,76 @@ fn assert_drivers_agree(
         ] {
             let reference_engine = engine_kind.build(&master);
             let (reference_report, reference_view) = run_driver(
-                Driver::Sequential,
+                true,
                 reference_engine.as_ref(),
-                &dense,
+                &workloads,
                 strategy,
                 horizon,
                 seed,
             );
 
-            for (driver, driver_name) in [(Driver::Parallel, "barrier"), (Driver::Sparse, "sparse")]
-            {
-                let engine = engine_kind.build(&master);
-                let (report, view) =
-                    run_driver(driver, engine.as_ref(), &dense, strategy, horizon, seed);
-                assert_eq!(
-                    reference_report, report,
-                    "{label}: report mismatch for {engine_kind:?}/{strategy:?} via {driver_name}"
-                );
-                assert_eq!(
-                    reference_view, view,
-                    "{label}: adversary view mismatch for {engine_kind:?}/{strategy:?} via {driver_name}"
-                );
-                assert_eq!(
-                    format!("{reference_view:?}"),
-                    format!("{view:?}"),
-                    "{label}: debug rendering must also be byte-identical"
-                );
-            }
+            let engine = engine_kind.build(&master);
+            let (report, view) =
+                run_driver(false, engine.as_ref(), &workloads, strategy, horizon, seed);
+            assert_eq!(
+                reference_report, report,
+                "{label}: report mismatch for {engine_kind:?}/{strategy:?}"
+            );
+            assert_eq!(
+                reference_view, view,
+                "{label}: adversary view mismatch for {engine_kind:?}/{strategy:?}"
+            );
+            assert_eq!(
+                format!("{reference_view:?}"),
+                format!("{view:?}"),
+                "{label}: debug rendering must also be byte-identical"
+            );
         }
     }
 }
 
 #[test]
-fn sparse_and_barrier_drivers_match_the_sequential_reference() {
+fn sparse_schedule_matches_the_every_tick_reference() {
     assert_drivers_agree(steady_workloads, 360, 7, "steady");
 }
 
 #[test]
 fn churn_workload_is_driver_invariant() {
     // Owners joining and leaving mid-run: deferred Π_Setup at the join tick
-    // and an abandoned cache after the leave tick must look the same through
-    // all three drivers — reports, query answers, and adversary transcripts.
-    assert_drivers_agree(churn_workloads, 300, 23, "churn");
+    // and an abandoned cache after the leave tick must look the same on both
+    // schedules — reports, query answers, and adversary transcripts.
+    let horizon = 300u64;
+    assert_drivers_agree(churn_workloads, horizon, 23, "churn");
+
+    // Both schedules share the active window, so check its leave edge on
+    // its own: with SET every active tick syncs, so the mirror ends with
+    // the initial rows plus every arrival up to and including the leave
+    // tick — the batch landing exactly there among them.
+    let master = MasterKey::from_bytes([0xEE; 32]);
+    let workloads = churn_workloads(horizon);
+    let early = workloads
+        .iter()
+        .find(|w| w.table == "early")
+        .expect("churn fleet has an early leaver");
+    let leave = early.leave_time.expect("early leaves mid-run");
+    assert_eq!(early.arrivals.last().map(|(t, _)| *t), Some(leave));
+    let expected = early.initial_rows.len()
+        + early
+            .arrivals
+            .iter()
+            .filter(|(t, _)| *t <= leave)
+            .map(|(_, rows)| rows.len())
+            .sum::<usize>();
+    let engine = EngineKind::ObliDb.build(&master);
+    run_driver(
+        false,
+        engine.as_ref(),
+        &workloads,
+        StrategyKind::Set,
+        horizon,
+        23,
+    );
+    assert_eq!(engine.table_stats("early").real_records, expected as u64);
 }
 
 #[test]
@@ -216,20 +246,20 @@ fn join_tick_arrivals_are_delivered_and_driver_invariant() {
     // strictly after the join tick, so a record arriving exactly when its
     // owner joined was silently dropped from both the owner's cache and the
     // ground truth.  The join tick now runs the deferred Π_Setup followed by
-    // a normal tick on every driver.
+    // a normal tick on both schedules.
     let horizon = 42u64;
     let master = MasterKey::from_bytes([0xEE; 32]);
     let workloads_for = |horizon: u64| {
-        let mut arrivals: Vec<Vec<Row>> = vec![Vec::new(); horizon as usize];
-        arrivals[13] = vec![row(14, 7)]; // t = 14: exactly the join tick
-        arrivals[27] = vec![row(28, 8)]; // t = 28: mid-window control
-        let late = TableWorkload {
+        let late = OwnerWorkload {
             table: "late".into(),
             schema: schema(),
             initial_rows: (0..3).map(|i| row(0, 60 + i)).collect(),
-            arrivals,
             join_time: 14,
             leave_time: None,
+            arrivals: vec![
+                (14, vec![row(14, 7)]), // exactly the join tick
+                (28, vec![row(28, 8)]), // mid-window control
+            ],
         };
         vec![make_table("yellow", 0, horizon), late]
     };
@@ -239,48 +269,13 @@ fn join_tick_arrivals_are_delivered_and_driver_invariant() {
     // syncs, so by the horizon the mirror holds all five real records —
     // three initial rows plus both arrivals, including the join-tick one.
     let engine = EngineKind::ObliDb.build(&master);
-    let dense = workloads_for(horizon);
     run_driver(
-        Driver::Sparse,
+        false,
         engine.as_ref(),
-        &dense,
+        &workloads_for(horizon),
         StrategyKind::Set,
         horizon,
         31,
     );
     assert_eq!(engine.table_stats("late").real_records, 5);
-}
-
-#[test]
-fn sparse_driver_accepts_sparse_native_churn_workloads() {
-    // The same invariants hold when the workload is authored sparse-first
-    // (event lists with join/leave) and densified for the reference driver —
-    // the round trip OwnerWorkload -> TableWorkload -> OwnerWorkload is
-    // semantics-preserving.
-    let horizon = 300u64;
-    let master = MasterKey::from_bytes([0xEE; 32]);
-    let dense = churn_workloads(horizon);
-    let sparse: Vec<OwnerWorkload> = dense.iter().map(OwnerWorkload::from).collect();
-    let redensified: Vec<TableWorkload> = sparse.iter().map(|w| w.to_dense(horizon)).collect();
-
-    let reference_engine = EngineKind::ObliDb.build(&master);
-    let (reference_report, reference_view) = run_driver(
-        Driver::Sequential,
-        reference_engine.as_ref(),
-        &redensified,
-        StrategyKind::DpTimer,
-        horizon,
-        23,
-    );
-    let sparse_engine = EngineKind::ObliDb.build(&master);
-    let (sparse_report, sparse_view) = run_driver(
-        Driver::Sparse,
-        sparse_engine.as_ref(),
-        &dense,
-        StrategyKind::DpTimer,
-        horizon,
-        23,
-    );
-    assert_eq!(reference_report, sparse_report);
-    assert_eq!(reference_view, sparse_view);
 }

@@ -23,7 +23,8 @@
 //! loopback reactor (entropy sub-protocol included).
 
 use dpsync_core::metrics::SimulationReport;
-use dpsync_core::simulation::{Simulation, SimulationConfig, TableWorkload};
+use dpsync_core::simulation::{Simulation, SimulationConfig};
+use dpsync_core::sparse::OwnerWorkload;
 use dpsync_core::strategy::{
     AboveNoisyThresholdStrategy, CacheFlush, DpTimerStrategy, StrategyKind, SyncStrategy,
     SynchronizeEveryTime,
@@ -68,24 +69,24 @@ fn row(t: u64, p: i64) -> Row {
 
 /// The same deterministic two-table workload shape as the backend- and
 /// remote-equivalence suites: bursts, quiet stretches, a join table.
-fn workloads(horizon: u64) -> Vec<TableWorkload> {
-    let make = |name: &str, offset: u64| TableWorkload {
+fn workloads(horizon: u64) -> Vec<OwnerWorkload> {
+    let make = |name: &str, offset: u64| OwnerWorkload {
         table: name.into(),
         schema: schema(),
         initial_rows: (0..8).map(|i| row(0, 40 + offset as i64 + i)).collect(),
+        join_time: 0,
+        leave_time: None,
         arrivals: (1..=horizon)
-            .map(|t| {
+            .filter_map(|t| {
                 if (t + offset).is_multiple_of(3) {
-                    vec![row(t, ((t + offset) % 150) as i64)]
+                    Some((t, vec![row(t, ((t + offset) % 150) as i64)]))
                 } else if (t + offset).is_multiple_of(17) {
-                    vec![row(t, 60), row(t, 61)]
+                    Some((t, vec![row(t, 60), row(t, 61)]))
                 } else {
-                    vec![]
+                    None
                 }
             })
             .collect(),
-        join_time: 0,
-        leave_time: None,
     };
     vec![make("yellow", 0), make("green", 5)]
 }
@@ -143,7 +144,9 @@ fn run_on(
     let master = MasterKey::from_bytes([0xEE; 32]);
     let join = matches!(engine.name(), "oblidb");
     let report = simulation(horizon, seed, join, views)
-        .run_parallel(&workloads(horizon), engine, &master, |_| strategy_for(kind))
+        .run_sparse(&workloads(horizon), horizon, engine, &master, |_| {
+            strategy_for(kind)
+        })
         .expect("simulation succeeds")
         .normalized();
     (report, engine.adversary_view())

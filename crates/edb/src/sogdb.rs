@@ -160,8 +160,9 @@ pub struct QueryOutcome {
 /// behind interior locks (see [`crate::server::ServerStorage`]), so several
 /// owners — one per table, each on its own thread — can run `Π_Update`
 /// concurrently against one engine without serializing on a global lock.
-/// The `Send + Sync` bound is what lets the simulation driver share a
-/// `&dyn SecureOutsourcedDatabase` across those owner threads.
+/// The `Send + Sync` bound is what lets callers share one
+/// `&dyn SecureOutsourcedDatabase` across those owner threads, e.g. several
+/// simulation-driver threads each running a slice of an owner fleet.
 pub trait SecureOutsourcedDatabase: Send + Sync {
     /// A short engine name ("oblidb", "crypt-epsilon").
     fn name(&self) -> &'static str;

@@ -18,7 +18,7 @@
 //! [`crate::csv`].
 
 use crate::arrival::ArrivalProcess;
-use dpsync_core::simulation::TableWorkload;
+use dpsync_core::sparse::OwnerWorkload;
 use dpsync_dp::DpRng;
 use dpsync_edb::{DataType, Row, Schema, Value};
 use rand::Rng;
@@ -230,27 +230,29 @@ impl TaxiDataset {
         self.horizon
     }
 
-    /// Converts the dataset to the simulation's [`TableWorkload`] for `table`.
+    /// Converts the dataset to the simulation's [`OwnerWorkload`] for
+    /// `table`; run it over [`TaxiDataset::horizon`] ticks.
     ///
     /// Records with `pick_time == 0` form the initial database `D₀`; records
-    /// at minute `t ≥ 1` arrive at tick `t`.
-    pub fn to_workload(&self, table: &str) -> TableWorkload {
-        let mut arrivals: Vec<Vec<Row>> = vec![Vec::new(); self.horizon as usize];
+    /// at minute `t ≥ 1` arrive at tick `t`, one event per arrival minute
+    /// (the dataset holds at most one record per minute, in time order).
+    pub fn to_workload(&self, table: &str) -> OwnerWorkload {
         let mut initial_rows = Vec::new();
+        let mut arrivals = Vec::new();
         for record in &self.records {
             if record.pick_time == 0 {
                 initial_rows.push(record.to_row());
             } else if record.pick_time <= self.horizon {
-                arrivals[(record.pick_time - 1) as usize].push(record.to_row());
+                arrivals.push((record.pick_time, vec![record.to_row()]));
             }
         }
-        TableWorkload {
+        OwnerWorkload {
             table: table.to_string(),
             schema: taxi_schema(),
             initial_rows,
-            arrivals,
             join_time: 0,
             leave_time: None,
+            arrivals,
         }
     }
 }
@@ -368,11 +370,15 @@ mod tests {
         let ds = TaxiDataset::generate(TaxiConfig::scaled_yellow(2, 40));
         let workload = ds.to_workload("yellow");
         assert_eq!(workload.table, "yellow");
-        assert_eq!(workload.horizon(), ds.horizon());
         assert_eq!(workload.total_rows(), ds.len());
-        // The workload schema matches the rows produced.
-        for tick in workload.arrivals.iter().filter(|a| !a.is_empty()) {
-            assert!(workload.schema.validates(tick[0].values()));
+        // One event per arrival minute, in order, inside the horizon, and the
+        // workload schema matches the rows produced.
+        assert_eq!(workload.arrivals.len() as u64, ds.len());
+        let mut previous = 0;
+        for (t, rows) in &workload.arrivals {
+            assert!(*t > previous && *t <= ds.horizon());
+            assert!(workload.schema.validates(rows[0].values()));
+            previous = *t;
         }
     }
 

@@ -24,8 +24,9 @@ fn run(epsilon: f64, period: u64) -> (f64, f64, u64) {
         seed: 7,
     });
     let report = sim
-        .run(
+        .run_sparse(
             &[yellow.to_workload(queries::YELLOW_TABLE)],
+            yellow.horizon(),
             &engine,
             &master,
             |_| {

@@ -13,7 +13,8 @@
 //!
 //! Run with: `cargo run --example remote_sync`
 
-use dp_sync::core::simulation::{Simulation, SimulationConfig, TableWorkload};
+use dp_sync::core::simulation::{Simulation, SimulationConfig};
+use dp_sync::core::sparse::OwnerWorkload;
 use dp_sync::core::strategy::{CacheFlush, DpTimerStrategy};
 use dp_sync::crypto::MasterKey;
 use dp_sync::dp::Epsilon;
@@ -24,8 +25,8 @@ use dp_sync::edb::{DataType, Row, Schema, Value};
 use dp_sync::net::wire::BackendRequest;
 use dp_sync::net::{EdbTcpServer, EngineFactory, EngineProvider, RemoteEdb};
 
-fn workload(horizon: u64) -> TableWorkload {
-    TableWorkload {
+fn workload(horizon: u64) -> OwnerWorkload {
+    OwnerWorkload {
         table: "yellow".into(),
         schema: Schema::from_pairs(&[
             ("pick_time", DataType::Timestamp),
@@ -34,20 +35,15 @@ fn workload(horizon: u64) -> TableWorkload {
         initial_rows: (0..12)
             .map(|i| Row::new(vec![Value::Timestamp(0), Value::Int(50 + i)]))
             .collect(),
-        arrivals: (1..=horizon)
-            .map(|t| {
-                if t % 3 == 0 {
-                    vec![Row::new(vec![
-                        Value::Timestamp(t),
-                        Value::Int((t % 150) as i64),
-                    ])]
-                } else {
-                    vec![]
-                }
-            })
-            .collect(),
         join_time: 0,
         leave_time: None,
+        arrivals: (3..=horizon)
+            .step_by(3)
+            .map(|t| {
+                let row = Row::new(vec![Value::Timestamp(t), Value::Int((t % 150) as i64)]);
+                (t, vec![row])
+            })
+            .collect(),
     }
 }
 
@@ -98,7 +94,9 @@ fn main() {
     );
 
     let remote_report = simulation(HORIZON)
-        .run(&[workload(HORIZON)], &remote, &master, |_| strategy())
+        .run_sparse(&[workload(HORIZON)], HORIZON, &remote, &master, |_| {
+            strategy()
+        })
         .expect("remote simulation")
         .normalized();
     let remote_view = remote.adversary_view();
@@ -113,9 +111,13 @@ fn main() {
     // ---- The identical run, in-process. -----------------------------------
     let local = EngineKind::ObliDb.build(&master);
     let local_report = simulation(HORIZON)
-        .run(&[workload(HORIZON)], local.as_ref(), &master, |_| {
-            strategy()
-        })
+        .run_sparse(
+            &[workload(HORIZON)],
+            HORIZON,
+            local.as_ref(),
+            &master,
+            |_| strategy(),
+        )
         .expect("local simulation")
         .normalized();
     let local_view = local.adversary_view();

@@ -58,7 +58,9 @@ fn main() {
             seed: 2021,
         });
         let report = sim
-            .run(&workloads, &engine, &master, |_| build(kind))
+            .run_sparse(&workloads, yellow.horizon(), &engine, &master, |_| {
+                build(kind)
+            })
             .expect("simulation succeeds");
         println!(
             "{:<10} {:>10.2} {:>10.2} {:>10.2} {:>12.3} {:>12.2} {:>10.2}",

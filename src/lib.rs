@@ -22,8 +22,8 @@
 //!   `EdbTcpServer` listener (and the `dpsync-serve` binary built on it), and
 //!   the `RemoteEdb` client that runs the whole stack over TCP unchanged.
 //!
-//! See `examples/quickstart.rs` for a five-minute tour and `DESIGN.md` for the
-//! full system inventory.
+//! See `examples/quickstart.rs` for a five-minute tour and `ARCHITECTURE.md`
+//! for the full system inventory.
 
 #![forbid(unsafe_code)]
 

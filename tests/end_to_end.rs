@@ -40,11 +40,12 @@ fn run_oblidb(kind: StrategyKind, epsilon: f64, seed: u64) -> SimulationReport {
         queries: queries::paper_query_set(),
         seed,
     });
-    sim.run(
+    sim.run_sparse(
         &[
             yellow.to_workload(queries::YELLOW_TABLE),
             green.to_workload(queries::GREEN_TABLE),
         ],
+        yellow.horizon(),
         &engine,
         &master,
         |_| build(kind, epsilon),
@@ -141,8 +142,9 @@ fn crypt_epsilon_engine_runs_the_same_stack_with_noisy_answers() {
         seed: 5,
     });
     let report = sim
-        .run(
+        .run_sparse(
             &[yellow.to_workload(queries::YELLOW_TABLE)],
+            yellow.horizon(),
             &engine,
             &master,
             |_| build(StrategyKind::Sur, 0.5),
@@ -172,8 +174,9 @@ fn update_pattern_is_all_the_server_learns_about_timing() {
             queries: vec![],
             seed,
         });
-        sim.run(
+        sim.run_sparse(
             &[yellow.to_workload(queries::YELLOW_TABLE)],
+            yellow.horizon(),
             &engine,
             &master,
             |_| build(StrategyKind::DpTimer, 0.5),

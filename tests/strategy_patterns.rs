@@ -46,7 +46,9 @@ fn run_short(kind: StrategyKind) -> (SimulationReport, Vec<u64>, Vec<u64>, u64) 
         seed: SEED,
     });
     let report = sim
-        .run(&[workload], &engine, &master, |_| build(kind))
+        .run_sparse(&[workload], yellow.horizon(), &engine, &master, |_| {
+            build(kind)
+        })
         .expect("simulation succeeds");
     let view = engine.adversary_view();
     let pattern = view.update_pattern();

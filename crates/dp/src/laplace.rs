@@ -80,16 +80,41 @@ impl Laplace {
         }
     }
 
-    /// Draws one sample via the inverse-CDF transform.
+    /// Draws one sample via the inverse-CDF transform of one `next_u64`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        // Uniform in (0, 1): `gen` yields [0, 1), shift away from 0 so ln() is finite.
-        let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        self.quantile(if u >= 1.0 { 1.0 - f64::EPSILON } else { u })
+        self.sample_word(rng.next_u64())
     }
 
-    /// Draws `n` samples.
+    /// Draws `n` samples from a single `fill_bytes` call of `8·n` bytes, one
+    /// little-endian word per sample; nothing is drawn when `n = 0`.
+    ///
+    /// One call is one entropy round trip when the RNG lives across the wire.
+    /// For an RNG whose `fill_bytes` writes the little-endian bytes of
+    /// successive `next_u64` words (`DpRng`, the vendored `StdRng`), the
+    /// result and the RNG's final state equal those of `n` calls to
+    /// [`Laplace::sample`].
     pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.sample(rng)).collect()
+        if n == 0 {
+            return Vec::new();
+        }
+        let mut bytes = vec![0u8; 8 * n];
+        rng.fill_bytes(&mut bytes);
+        bytes
+            .chunks_exact(8)
+            .map(|word| {
+                self.sample_word(u64::from_le_bytes(
+                    word.try_into().expect("chunks_exact yields 8 bytes"),
+                ))
+            })
+            .collect()
+    }
+
+    /// The inverse-CDF transform of one 64-bit word: its top 53 bits as a
+    /// uniform in `[0, 1)` (as `Rng::gen::<f64>` reads a `next_u64`), moved
+    /// off 0 so `ln` stays finite.
+    fn sample_word(&self, word: u64) -> f64 {
+        let u = (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        self.quantile(u.max(f64::MIN_POSITIVE))
     }
 
     /// The tail probability `Pr[|X - mu| >= t]` (Fact 3.7 of Dwork & Roth,
@@ -225,6 +250,66 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 3.0).abs() < 0.05, "mean={mean}");
         assert!((var - d.variance()).abs() < 0.2, "var={var}");
+    }
+
+    /// `sample_n` from one `fill_bytes` must release, bit for bit, what `n`
+    /// successive `sample` calls release and leave the RNG where they do;
+    /// `sample` in turn must equal the `gen::<f64>` inverse-CDF transform.
+    fn assert_sample_n_matches_single_draws<R: Rng + Clone>(rng: R) {
+        let d = Laplace::new(0.0, 1.0 / 3.0).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in [0, 1, 7, 265] {
+            let mut batched = rng.clone();
+            let mut single = rng.clone();
+            let mut via_gen = rng.clone();
+            let xs = d.sample_n(&mut batched, n);
+            let ys: Vec<f64> = (0..n).map(|_| d.sample(&mut single)).collect();
+            let zs: Vec<f64> = (0..n)
+                .map(|_| {
+                    let u: f64 = via_gen.gen::<f64>().max(f64::MIN_POSITIVE);
+                    d.quantile(if u >= 1.0 { 1.0 - f64::EPSILON } else { u })
+                })
+                .collect();
+            assert_eq!(xs.len(), n);
+            assert_eq!(bits(&xs), bits(&ys), "n = {n}");
+            assert_eq!(bits(&ys), bits(&zs), "n = {n}");
+            let next = batched.next_u64();
+            assert_eq!(next, single.next_u64(), "n = {n}");
+            assert_eq!(next, via_gen.next_u64(), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn sample_n_is_bit_identical_to_successive_samples() {
+        use rand::SeedableRng;
+        assert_sample_n_matches_single_draws(DpRng::seed_from_u64(21));
+        assert_sample_n_matches_single_draws(rand::rngs::StdRng::seed_from_u64(21));
+    }
+
+    #[test]
+    fn sample_n_makes_one_rng_call_and_none_for_zero() {
+        #[derive(Default)]
+        struct Calls(u32);
+        impl rand::RngCore for Calls {
+            fn next_u32(&mut self) -> u32 {
+                self.0 += 1;
+                0
+            }
+            fn next_u64(&mut self) -> u64 {
+                self.0 += 1;
+                0
+            }
+            fn fill_bytes(&mut self, dest: &mut [u8]) {
+                self.0 += 1;
+                dest.fill(0x5a);
+            }
+        }
+        let d = dist();
+        for (n, calls) in [(0, 0), (1, 1), (265, 1)] {
+            let mut rng = Calls::default();
+            assert_eq!(d.sample_n(&mut rng, n).len(), n);
+            assert_eq!(rng.0, calls, "n = {n}");
+        }
     }
 
     #[test]

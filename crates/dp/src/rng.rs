@@ -141,6 +141,24 @@ mod tests {
     }
 
     #[test]
+    fn fill_bytes_writes_successive_little_endian_words() {
+        // `Laplace::sample_n` relies on this to release, from one fill, the
+        // noise of successive single `next_u64` draws.
+        for n in [0, 1, 8, 13, 2120] {
+            let mut filled = DpRng::seed_from_u64(5);
+            let mut words = filled.clone();
+            let mut buf = vec![0u8; n];
+            filled.fill_bytes(&mut buf);
+            let mut expected: Vec<u8> = (0..n.div_ceil(8))
+                .flat_map(|_| words.next_u64().to_le_bytes())
+                .collect();
+            expected.truncate(n);
+            assert_eq!(buf, expected, "n = {n}");
+            assert_eq!(filled.next_u64(), words.next_u64(), "n = {n}");
+        }
+    }
+
+    #[test]
     fn fill_bytes_fills_every_byte_eventually() {
         let mut rng = DpRng::seed_from_u64(99);
         let mut buf = [0u8; 64];

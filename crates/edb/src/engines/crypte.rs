@@ -98,14 +98,25 @@ impl CryptEpsilonEngine {
         // release.  Consumers that want a presentable count clamp at the
         // analyst trust boundary (see `dpsync-core`'s `Analyst`), never on
         // the server.
+        //
+        // Each release costs at most one RNG call, which over the wire is
+        // one entropy round trip: a scalar takes one `next_u64`, k groups
+        // take one `fill_bytes` of 8k bytes (one word per group in key
+        // order), no groups take nothing.  `DpRng` fills with the
+        // little-endian bytes of successive `next_u64` words, so the noise
+        // equals k single draws.
         match answer {
             QueryAnswer::Scalar(v) => QueryAnswer::Scalar((v + noise.sample(rng)).round()),
-            QueryAnswer::Groups(groups) => QueryAnswer::Groups(
-                groups
-                    .into_iter()
-                    .map(|(k, v)| (k, (v + noise.sample(rng)).round()))
-                    .collect(),
-            ),
+            QueryAnswer::Groups(groups) => {
+                let draws = noise.sample_n(rng, groups.len());
+                QueryAnswer::Groups(
+                    groups
+                        .into_iter()
+                        .zip(draws)
+                        .map(|((k, v), z)| (k, (v + z).round()))
+                        .collect(),
+                )
+            }
             QueryAnswer::Rows(rows) => QueryAnswer::Rows(rows),
         }
     }
@@ -334,6 +345,77 @@ mod tests {
         assert_eq!(groups.len(), 1);
         let count = groups.values().next().unwrap();
         assert!((count - 100.0).abs() < 10.0);
+    }
+
+    #[test]
+    fn many_group_answers_draw_one_sample_per_group_in_key_order() {
+        use crate::query::Predicate;
+        use crate::views::ViewDef;
+        // 240 rows over 30 pickup ids.  Each engine gets the same rows.
+        let build = || {
+            let master = MasterKey::from_bytes([13u8; 32]);
+            let mut cryptor = RecordCryptor::new(&master);
+            let engine = CryptEpsilonEngine::new(&master);
+            let rows: Vec<Row> = (0..240).map(|i| row(i, 40 + (i % 30) as i64)).collect();
+            let batch = encrypt_batch(&mut cryptor, &rows, 40);
+            engine.setup("yellow", schema(), batch).unwrap();
+            engine
+        };
+        // The release of the per-group loop: `v + sample(rng)` for each
+        // group in key order, from a clone of the query's rng.
+        let per_group = |engine: &CryptEpsilonEngine, query: &Query, rng: &StdRng| {
+            let noise = Laplace::new(0.0, 1.0 / DEFAULT_QUERY_EPSILON).unwrap();
+            let mut rng = rng.clone();
+            let (exact, _) = engine.core.execute(query).unwrap();
+            let groups = exact
+                .as_groups()
+                .unwrap()
+                .iter()
+                .map(|(k, v)| (k.clone(), (v + noise.sample(&mut rng)).round()))
+                .collect();
+            (QueryAnswer::Groups(groups), rng)
+        };
+        let start = StdRng::seed_from_u64(90);
+
+        let q2 = paper_queries::q2_group_by_count("yellow");
+        let (scan, view) = (build(), build());
+        view.register_view(&ViewDef::new("q2", q2.clone()).unwrap())
+            .unwrap();
+        let (expected, after) = per_group(&scan, &q2, &start);
+        assert_eq!(expected.as_groups().unwrap().len(), 30);
+        let mut rng = start.clone();
+        assert_eq!(scan.query(&q2, &mut rng).unwrap().answer, expected);
+        assert_eq!(rng, after);
+        let mut rng = start.clone();
+        assert_eq!(view.query_view("q2", &mut rng).unwrap().answer, expected);
+        assert_eq!(rng, after);
+        assert_eq!(
+            scan.adversary_view().queries(),
+            view.adversary_view().queries()
+        );
+
+        let q2_range = Query::GroupByCount {
+            table: "yellow".into(),
+            group_by: "pickup_id".into(),
+            predicate: Some(Predicate::Between("pickup_id".into(), 50.0, 100.0)),
+        };
+        let (scan, index) = (build(), build());
+        index
+            .register_index(&IndexDef::new("idx", "yellow", "pickup_id").unwrap())
+            .unwrap();
+        let (expected, after) = per_group(&scan, &q2_range, &start);
+        assert_eq!(expected.as_groups().unwrap().len(), 20);
+        let mut rng = start.clone();
+        assert_eq!(scan.query(&q2_range, &mut rng).unwrap().answer, expected);
+        assert_eq!(rng, after);
+        let mut rng = start.clone();
+        let indexed = index.query_indexed("idx", &q2_range, &mut rng).unwrap();
+        assert_eq!(indexed.answer, expected);
+        assert_eq!(rng, after);
+        assert_eq!(
+            index.adversary_view().queries()[0].observed_response_volume,
+            scan.adversary_view().queries()[0].observed_response_volume
+        );
     }
 
     #[test]

@@ -227,9 +227,10 @@ impl RemoteEdb {
                 EntropyDraw::U32 => rng.next_u32().to_le_bytes().to_vec(),
                 EntropyDraw::U64 => rng.next_u64().to_le_bytes().to_vec(),
                 EntropyDraw::Fill(n) => {
-                    // The server never legitimately asks for more than a few
-                    // bytes per draw; cap defensively so a compromised server
-                    // cannot demand unbounded memory.
+                    // A legitimate fill is 8 bytes per released group: one
+                    // request carries a whole group-by's noise.  Cap
+                    // defensively so a compromised server cannot demand
+                    // unbounded memory.
                     if n as usize > crate::frame::MAX_FRAME_LEN / 2 {
                         return Err(self.io_failed("oversized entropy request"));
                     }

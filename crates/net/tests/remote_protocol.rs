@@ -5,12 +5,14 @@
 use dpsync_crypto::{MasterKey, RecordCryptor};
 use dpsync_edb::engines::base::encrypt_batch;
 use dpsync_edb::engines::{EngineKind, ObliDbEngine};
-use dpsync_edb::query::paper_queries;
-use dpsync_edb::sogdb::SecureOutsourcedDatabase;
-use dpsync_edb::{DataType, EdbError, Row, Schema, StorageError, Value};
-use dpsync_net::{BackendRequest, EdbTcpServer, EngineFactory, EngineProvider, RemoteEdb};
+use dpsync_edb::query::{paper_queries, Predicate, Query};
+use dpsync_edb::sogdb::{QueryOutcome, SecureOutsourcedDatabase};
+use dpsync_edb::{DataType, EdbError, IndexDef, Row, Schema, StorageError, Value, ViewDef};
+use dpsync_net::{
+    BackendRequest, EdbTcpServer, EngineFactory, EngineProvider, MuxConnection, RemoteEdb,
+};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::sync::Arc;
 
 fn schema() -> Schema {
@@ -127,6 +129,131 @@ fn noisy_engine_consumes_the_client_rng_identically() {
 
     // The noisy response volumes the server observed also agree.
     assert_eq!(remote.adversary_view(), local.adversary_view());
+    assert_eq!(server.handler_panics(), 0);
+}
+
+/// A client RNG that counts its calls.  A client answers each
+/// `EntropyRequest` frame with exactly one call, so the count is the number
+/// of entropy round trips.
+struct CountingRng {
+    inner: StdRng,
+    calls: usize,
+}
+
+impl RngCore for CountingRng {
+    fn next_u32(&mut self) -> u32 {
+        self.calls += 1;
+        self.inner.next_u32()
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.calls += 1;
+        self.inner.next_u64()
+    }
+
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        self.calls += 1;
+        self.inner.fill_bytes(dest)
+    }
+}
+
+type Read = fn(&dyn SecureOutsourcedDatabase, &mut dyn RngCore) -> Result<QueryOutcome, EdbError>;
+
+#[test]
+fn each_noisy_release_costs_one_entropy_round_trip() {
+    // Crypt-ε draws a k-group answer's noise with one `fill_bytes`, so every
+    // read — scan, view or index — costs at most one round trip, and an
+    // empty answer none.  The answers and the client RNG's post-query state
+    // must still match the in-process engine's.
+    let master = MasterKey::from_bytes([0x27; 32]);
+    let server = factory_server();
+    let mux = MuxConnection::connect(server.local_addr()).unwrap();
+    let remote = RemoteEdb::connect_engine(
+        server.local_addr(),
+        EngineKind::CryptEpsilon,
+        &master,
+        BackendRequest::Memory,
+    )
+    .unwrap();
+    let session = mux
+        .open_engine(EngineKind::CryptEpsilon, &master, BackendRequest::Memory)
+        .unwrap();
+
+    // 48 rows over the 12 pickup ids 60..=71.
+    let mut cryptor = RecordCryptor::new(&master);
+    let rows: Vec<Row> = (0..48).map(|i| row(i, 60 + (i % 12) as i64)).collect();
+    let batch = encrypt_batch(&mut cryptor, &rows, 8);
+    let empty = encrypt_batch(&mut cryptor, &[], 0);
+    // (label, read, groups released, client RNG calls)
+    let reads: [(&str, Read, Option<usize>, usize); 5] = [
+        (
+            "Q1",
+            |db, rng| db.query(&paper_queries::q1_range_count("yellow"), rng),
+            None,
+            1,
+        ),
+        (
+            "Q2",
+            |db, rng| db.query(&paper_queries::q2_group_by_count("yellow"), rng),
+            Some(12),
+            1,
+        ),
+        ("Q2 view", |db, rng| db.query_view("q2", rng), Some(12), 1),
+        (
+            "Q2 indexed",
+            |db, rng| {
+                let query = Query::GroupByCount {
+                    table: "yellow".into(),
+                    group_by: "pickup_id".into(),
+                    predicate: Some(Predicate::Between("pickup_id".into(), 62.0, 69.0)),
+                };
+                db.query_indexed("idx", &query, rng)
+            },
+            Some(8),
+            1,
+        ),
+        (
+            "Q2 empty",
+            |db, rng| db.query(&paper_queries::q2_group_by_count("empty"), rng),
+            Some(0),
+            0,
+        ),
+    ];
+
+    for client in [&remote as &dyn SecureOutsourcedDatabase, &session] {
+        let local = EngineKind::CryptEpsilon.build(&master);
+        for engine in [client, &*local] {
+            engine.setup("yellow", schema(), batch.clone()).unwrap();
+            engine.setup("empty", schema(), empty.clone()).unwrap();
+            engine
+                .register_view(
+                    &ViewDef::new("q2", paper_queries::q2_group_by_count("yellow")).unwrap(),
+                )
+                .unwrap();
+            engine
+                .register_index(&IndexDef::new("idx", "yellow", "pickup_id").unwrap())
+                .unwrap();
+        }
+        let mut remote_rng = CountingRng {
+            inner: StdRng::seed_from_u64(78),
+            calls: 0,
+        };
+        let mut local_rng = StdRng::seed_from_u64(78);
+        for (label, read, groups, calls) in reads {
+            let before = remote_rng.calls;
+            let remote_outcome = read(client, &mut remote_rng).unwrap();
+            let local_outcome = read(&*local, &mut local_rng).unwrap();
+            assert_eq!(remote_outcome.answer, local_outcome.answer, "{label}");
+            assert_eq!(
+                local_outcome.answer.as_groups().map(|g| g.len()),
+                groups,
+                "{label}"
+            );
+            assert_eq!(remote_rng.calls - before, calls, "{label}");
+            assert_eq!(remote_rng.inner, local_rng, "{label}");
+        }
+        assert_eq!(client.adversary_view(), local.adversary_view());
+    }
     assert_eq!(server.handler_panics(), 0);
 }
 

@@ -21,7 +21,7 @@ use dpsync_crypto::MasterKey;
 use dpsync_edb::backend::{BackendConfig, GroupCommitConfig, SegmentLogConfig};
 use dpsync_edb::sogdb::SecureOutsourcedDatabase;
 use dpsync_edb::Query;
-use dpsync_net::{BackendRequest, RemoteEdb};
+use dpsync_net::{BackendRequest, MuxConnection};
 use dpsync_workloads::queries;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -144,7 +144,8 @@ pub fn build_run_engine(
                 BackendKind::Disk => BackendRequest::Disk,
                 BackendKind::DiskGroup => BackendRequest::DiskGroup,
             };
-            let engine = RemoteEdb::connect_engine(addr.as_str(), spec.engine, master, backend)
+            let engine = MuxConnection::connect(addr.as_str())
+                .and_then(|conn| conn.open_engine(spec.engine, master, backend))
                 .unwrap_or_else(|e| {
                     panic!(
                         "cannot open a remote session at {addr}: {e}\n\

@@ -47,9 +47,6 @@ impl CacheRead {
 pub struct LocalCache {
     policy: CachePolicy,
     queue: VecDeque<Row>,
-    /// High-water mark, useful for validating the cache-size bounds of
-    /// Theorems 6 and 8.
-    max_len_seen: u64,
 }
 
 impl LocalCache {
@@ -63,7 +60,6 @@ impl LocalCache {
         Self {
             policy,
             queue: VecDeque::new(),
-            max_len_seen: 0,
         }
     }
 
@@ -82,15 +78,9 @@ impl LocalCache {
         self.queue.is_empty()
     }
 
-    /// The largest length the cache ever reached.
-    pub fn max_len_seen(&self) -> u64 {
-        self.max_len_seen
-    }
-
     /// `write(σ, r)`: appends a record.
     pub fn write(&mut self, row: Row) {
         self.queue.push_back(row);
-        self.max_len_seen = self.max_len_seen.max(self.queue.len() as u64);
     }
 
     /// Writes a batch of records in arrival order.
@@ -116,13 +106,6 @@ impl LocalCache {
             dummies_needed: n - records.len() as u64,
             records,
         }
-    }
-
-    /// Drains the entire cache (used by the final catch-up synchronization in
-    /// simulations that need exact convergence at the horizon).
-    pub fn drain_all(&mut self) -> Vec<Row> {
-        let read = self.read(self.len());
-        read.records
     }
 
     /// A non-destructive view of the cached rows in storage order.
@@ -193,27 +176,6 @@ mod tests {
         assert!(read.records.is_empty());
         assert_eq!(read.dummies_needed, 0);
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn drain_all_empties_the_cache() {
-        let mut cache = LocalCache::new();
-        cache.write_all((0..10).map(row));
-        let drained = cache.drain_all();
-        assert_eq!(drained.len(), 10);
-        assert!(cache.is_empty());
-        assert_eq!(drained[0], row(0));
-        assert_eq!(drained[9], row(9));
-    }
-
-    #[test]
-    fn max_len_tracks_high_water_mark() {
-        let mut cache = LocalCache::new();
-        cache.write_all((0..7).map(row));
-        let _ = cache.read(5);
-        cache.write_all((0..2).map(row));
-        assert_eq!(cache.len(), 4);
-        assert_eq!(cache.max_len_seen(), 7);
     }
 
     #[test]

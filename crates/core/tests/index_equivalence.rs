@@ -38,7 +38,7 @@ use dpsync_edb::planner::LeakagePolicy;
 use dpsync_edb::query::paper_queries;
 use dpsync_edb::sogdb::SecureOutsourcedDatabase;
 use dpsync_edb::{AdversaryView, DataType, Row, Schema, Value};
-use dpsync_net::{BackendRequest, EdbTcpServer, EngineFactory, EngineProvider, RemoteEdb};
+use dpsync_net::{BackendRequest, EdbTcpServer, EngineFactory, EngineProvider, MuxConnection};
 use std::path::PathBuf;
 
 struct TempDir(PathBuf);
@@ -295,13 +295,9 @@ fn indexes_over_tcp_match_in_process_runs() {
 
         // TranscriptOnly over the wire: `RegisterIndex` frames cross the
         // loopback, reads stay scans, and the whole transcript is pinned.
-        let remote_engine = RemoteEdb::connect_engine(
-            server.local_addr(),
-            engine_kind,
-            &master,
-            BackendRequest::Memory,
-        )
-        .expect("session opens");
+        let remote_engine = MuxConnection::connect(server.local_addr())
+            .and_then(|conn| conn.open_engine(engine_kind, &master, BackendRequest::Memory))
+            .expect("session opens");
         let (remote_report, remote_view) = run_on(
             &remote_engine,
             StrategyKind::DpTimer,
@@ -329,13 +325,9 @@ fn indexes_over_tcp_match_in_process_runs() {
             13,
             Some(LeakagePolicy::AllowIndexedVolume),
         );
-        let remote_engine = RemoteEdb::connect_engine(
-            server.local_addr(),
-            engine_kind,
-            &master,
-            BackendRequest::Memory,
-        )
-        .expect("session opens");
+        let remote_engine = MuxConnection::connect(server.local_addr())
+            .and_then(|conn| conn.open_engine(engine_kind, &master, BackendRequest::Memory))
+            .expect("session opens");
         let (remote_report, remote_view) = run_on(
             &remote_engine,
             StrategyKind::DpTimer,
@@ -369,13 +361,9 @@ fn remote_index_registration_and_errors_cross_the_wire() {
         EngineProvider::Factory(EngineFactory::default()),
     )
     .expect("loopback server binds");
-    let remote = RemoteEdb::connect_engine(
-        server.local_addr(),
-        EngineKind::ObliDb,
-        &master,
-        BackendRequest::Memory,
-    )
-    .expect("session opens");
+    let remote = MuxConnection::connect(server.local_addr())
+        .and_then(|conn| conn.open_engine(EngineKind::ObliDb, &master, BackendRequest::Memory))
+        .expect("session opens");
 
     let mut cryptor = RecordCryptor::new(&master);
     let rows: Vec<Row> = (0..30).map(|i| row(i, 40 + i as i64)).collect();

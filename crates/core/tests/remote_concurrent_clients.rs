@@ -1,6 +1,6 @@
 //! Cross-socket concurrency: `concurrent_owners.rs` extended over TCP.
 //!
-//! N owner clients — each with its *own* [`RemoteEdb`] connection — drive M
+//! N owner clients — each with its *own* [`MuxConnection`] — drive M
 //! tables against one shared engine behind a loopback server, interleaving
 //! `Π_Update` with `Π_Query`s posed by a separate analyst client.  With a
 //! barrier per time unit (no upload crosses a tick boundary; the analyst
@@ -22,7 +22,7 @@ use dpsync_edb::query::paper_queries;
 use dpsync_edb::sogdb::SecureOutsourcedDatabase;
 use dpsync_edb::view::AdversaryView;
 use dpsync_edb::{DataType, Query, QueryAnswer, Row, Schema, Value};
-use dpsync_net::{EdbTcpServer, EngineProvider, MuxConnection, RemoteEdb};
+use dpsync_net::{EdbTcpServer, EngineProvider, MuxConnection};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
@@ -127,7 +127,9 @@ fn concurrent_remote_run(
         for (index, table) in TABLES.iter().enumerate() {
             let barrier = Arc::clone(&barrier);
             scope.spawn(move || {
-                let remote = RemoteEdb::connect(addr).expect("owner client connects");
+                let remote = MuxConnection::connect(addr)
+                    .and_then(|conn| conn.open_shared())
+                    .expect("owner client connects");
                 let (mut owner, mut rng) = make_owner(table, master, kind);
                 owner
                     .setup(vec![row(0, index as i64)], &remote, &mut rng)
@@ -143,7 +145,9 @@ fn concurrent_remote_run(
         }
 
         // Analyst thread on its own connection.
-        let analyst = RemoteEdb::connect(addr).expect("analyst client connects");
+        let analyst = MuxConnection::connect(addr)
+            .and_then(|conn| conn.open_shared())
+            .expect("analyst client connects");
         let mut analyst_rng = DpRng::seed_from_u64(41).derive("analyst");
         barrier.wait(); // setups done
         for t in 1..=HORIZON {
@@ -158,7 +162,9 @@ fn concurrent_remote_run(
         drop(analyst);
     });
 
-    let check = RemoteEdb::connect(addr).expect("transcript reader connects");
+    let check = MuxConnection::connect(addr)
+        .and_then(|conn| conn.open_shared())
+        .expect("transcript reader connects");
     (check.adversary_view(), answers)
 }
 

@@ -5,7 +5,8 @@
 //! storage substrate, this one swaps the *transport* — the same fixed-seed
 //! simulation runs once against an in-process engine and once against the
 //! identical engine behind a loopback [`dpsync_net::EdbTcpServer`], through
-//! [`dpsync_net::RemoteEdb`].  Three things must be byte-identical:
+//! one [`dpsync_net::MuxSession`] on a connection of its own.  Three things
+//! must be byte-identical:
 //!
 //! 1. every query answer the analyst receives (including the Crypt-ε
 //!    engine's *noisy* answers — the entropy sub-protocol forwards each RNG
@@ -28,7 +29,7 @@ use dpsync_edb::engines::EngineKind;
 use dpsync_edb::query::paper_queries;
 use dpsync_edb::sogdb::SecureOutsourcedDatabase;
 use dpsync_edb::{AdversaryView, DataType, Row, Schema, Value};
-use dpsync_net::{BackendRequest, EdbTcpServer, EngineFactory, EngineProvider, RemoteEdb};
+use dpsync_net::{BackendRequest, EdbTcpServer, EngineFactory, EngineProvider, MuxConnection};
 
 fn schema() -> Schema {
     Schema::from_pairs(&[
@@ -137,13 +138,9 @@ fn tcp_and_in_process_transports_are_byte_identical() {
 
             // A fresh connection is a fresh engine on the factory server, so
             // every (engine, strategy) cell runs against clean tables.
-            let remote_engine = RemoteEdb::connect_engine(
-                server.local_addr(),
-                engine_kind,
-                &master,
-                BackendRequest::Memory,
-            )
-            .expect("session opens");
+            let remote_engine = MuxConnection::connect(server.local_addr())
+                .and_then(|conn| conn.open_engine(engine_kind, &master, BackendRequest::Memory))
+                .expect("session opens");
             let (remote_report, remote_view) = run_on(&remote_engine, strategy, 360, 7);
 
             // Reports carry every released query answer, error, QET and size
@@ -179,13 +176,9 @@ fn remote_engine_metadata_matches_in_process() {
     .unwrap();
     for engine_kind in EngineKind::ALL {
         let local = engine_kind.build(&master);
-        let remote = RemoteEdb::connect_engine(
-            server.local_addr(),
-            engine_kind,
-            &master,
-            BackendRequest::Memory,
-        )
-        .unwrap();
+        let remote = MuxConnection::connect(server.local_addr())
+            .and_then(|conn| conn.open_engine(engine_kind, &master, BackendRequest::Memory))
+            .unwrap();
         assert_eq!(remote.name(), local.name());
         assert_eq!(remote.leakage_profile(), local.leakage_profile());
         assert_eq!(remote.cost_model(), local.cost_model());
@@ -215,9 +208,9 @@ fn remote_disk_sessions_match_in_process_memory_runs() {
     let (local_report, local_view) = run_on(local_engine.as_ref(), StrategyKind::DpTimer, 240, 13);
 
     for backend in [BackendRequest::Disk, BackendRequest::DiskGroup] {
-        let remote_engine =
-            RemoteEdb::connect_engine(server.local_addr(), EngineKind::ObliDb, &master, backend)
-                .unwrap();
+        let remote_engine = MuxConnection::connect(server.local_addr())
+            .and_then(|conn| conn.open_engine(EngineKind::ObliDb, &master, backend))
+            .unwrap();
         let (remote_report, remote_view) = run_on(&remote_engine, StrategyKind::DpTimer, 240, 13);
 
         assert_eq!(

@@ -36,7 +36,7 @@ use dpsync_edb::engines::EngineKind;
 use dpsync_edb::query::paper_queries;
 use dpsync_edb::sogdb::SecureOutsourcedDatabase;
 use dpsync_edb::{AdversaryView, DataType, Row, Schema, Value};
-use dpsync_net::{BackendRequest, EdbTcpServer, EngineFactory, EngineProvider, RemoteEdb};
+use dpsync_net::{BackendRequest, EdbTcpServer, EngineFactory, EngineProvider, MuxConnection};
 use std::path::PathBuf;
 
 struct TempDir(PathBuf);
@@ -225,13 +225,9 @@ fn views_over_tcp_match_in_process_scans() {
 
         // View registration and reads cross the wire as `RegisterView` /
         // `QueryView` frames; Crypt-ε noise rides the entropy sub-protocol.
-        let remote_engine = RemoteEdb::connect_engine(
-            server.local_addr(),
-            engine_kind,
-            &master,
-            BackendRequest::Memory,
-        )
-        .expect("session opens");
+        let remote_engine = MuxConnection::connect(server.local_addr())
+            .and_then(|conn| conn.open_engine(engine_kind, &master, BackendRequest::Memory))
+            .expect("session opens");
         let (remote_report, remote_view) =
             run_on(&remote_engine, StrategyKind::DpTimer, 240, 13, true);
 
@@ -278,7 +274,9 @@ fn concurrent_registration_from_two_clients_is_idempotent() {
         .map(|_| {
             let barrier = barrier.clone();
             std::thread::spawn(move || {
-                let client = RemoteEdb::connect(addr).expect("client connects");
+                let client = MuxConnection::connect(addr)
+                    .and_then(|conn| conn.open_shared())
+                    .expect("client connects");
                 let view = ViewDef::new("V1", paper_queries::q1_range_count("yellow")).unwrap();
                 let index = IndexDef::new("idx_yellow_pickup_id", "yellow", "pickup_id").unwrap();
                 barrier.wait();
@@ -293,7 +291,9 @@ fn concurrent_registration_from_two_clients_is_idempotent() {
     }
 
     // A conflicting definition under a taken name is rejected, not merged.
-    let client = RemoteEdb::connect(addr).unwrap();
+    let client = MuxConnection::connect(addr)
+        .and_then(|conn| conn.open_shared())
+        .unwrap();
     let clash_view = ViewDef::new("V1", paper_queries::q2_group_by_count("yellow")).unwrap();
     assert!(matches!(
         client.register_view(&clash_view),
@@ -339,7 +339,9 @@ fn registration_races_ingest_without_deadlock() {
     let writer = {
         let barrier = barrier.clone();
         std::thread::spawn(move || {
-            let client = RemoteEdb::connect(addr).expect("writer connects");
+            let client = MuxConnection::connect(addr)
+                .and_then(|conn| conn.open_shared())
+                .expect("writer connects");
             let mut cryptor = dpsync_crypto::RecordCryptor::new(&MasterKey::from_bytes(key_bytes));
             barrier.wait();
             for t in 1..=40u64 {
@@ -353,7 +355,9 @@ fn registration_races_ingest_without_deadlock() {
     let registrar = {
         let barrier = barrier.clone();
         std::thread::spawn(move || {
-            let client = RemoteEdb::connect(addr).expect("registrar connects");
+            let client = MuxConnection::connect(addr)
+                .and_then(|conn| conn.open_shared())
+                .expect("registrar connects");
             barrier.wait();
             for i in 0..20 {
                 let view = ViewDef::new(

@@ -100,16 +100,6 @@ pub fn flush_dummy_volume(flush_size: u64, flush_interval: u64, t: u64) -> u64 {
         .map_or(0, |flushes| flush_size * flushes)
 }
 
-/// The minimum number of synchronizations `k >= 4 ln(1/beta)` required for
-/// Corollary 20 / Theorem 6 to apply.
-pub fn min_syncs_for_bound(beta: f64) -> u64 {
-    assert!(
-        (0.0..1.0).contains(&beta) && beta > 0.0,
-        "beta must be in (0,1)"
-    );
-    (4.0 * (1.0 / beta).ln()).ceil() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,15 +211,6 @@ mod tests {
         let a2 = ant_logical_gap_bound(eps, 43_200, 0.05);
         let total2 = ant_outsourced_bound(eps, 43_200, 0.05, 15, 2000);
         assert!((total2 - (a2 + (15 * 21) as f64)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn min_syncs_matches_formula() {
-        assert_eq!(
-            min_syncs_for_bound(0.05),
-            (4.0 * (20.0f64).ln()).ceil() as u64
-        );
-        assert!(min_syncs_for_bound(0.5) >= 2);
     }
 
     #[test]

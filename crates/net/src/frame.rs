@@ -10,10 +10,12 @@
 //!
 //! `session` routes the frame to one of many logical owner sessions
 //! multiplexed over a single socket (a gateway fanning in thousands of
-//! owners needs far fewer file descriptors than owners).  Plain
-//! point-to-point connections use session [`SESSION_DEFAULT`] everywhere;
-//! the session-less helpers ([`encode_frame`], [`read_frame`],
-//! [`FrameWriter::queue`]) pin it for them.
+//! owners needs far fewer file descriptors than owners).  The client,
+//! [`crate::MuxConnection`], numbers its sessions from 1.  Session
+//! [`SESSION_DEFAULT`] (0) carries only the server's courtesy error before
+//! it drops a connection over a framing error, and the frames of tests that
+//! drive a raw socket through the session-less helpers ([`encode_frame`],
+//! [`read_frame`], [`write_frame`]).
 //!
 //! `crc` is the IEEE CRC-32 of the session-id bytes followed by the payload
 //! — the same checksum (and the same implementation,
@@ -42,8 +44,8 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 /// Length of the fixed frame header (length + session id + CRC).
 pub const FRAME_HEADER_LEN: usize = 12;
 
-/// The session id used by plain point-to-point connections (one logical
-/// session per socket, e.g. [`crate::RemoteEdb`]).
+/// Session 0: the session of the server's courtesy error frame and of the
+/// session-less helpers.  [`crate::MuxConnection`] never opens it.
 pub const SESSION_DEFAULT: u32 = 0;
 
 /// A framing failure.
@@ -103,7 +105,7 @@ impl From<io::Error> for FrameError {
 /// Encodes one frame addressed to `session` onto the end of `out`.
 ///
 /// This is the allocation-free core of the outbound path: callers that send
-/// many frames keep one buffer and reuse its capacity (see [`FrameWriter`]).
+/// many frames keep one buffer and reuse its capacity.
 ///
 /// # Panics
 /// Panics if `payload` exceeds [`MAX_FRAME_LEN`] — outbound messages are
@@ -121,15 +123,6 @@ pub fn encode_frame_mux_into(session: u32, payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(&session_bytes);
     out.extend_from_slice(&crc.to_le_bytes());
     out.extend_from_slice(payload);
-}
-
-/// Encodes one [`SESSION_DEFAULT`] frame onto the end of `out`.
-///
-/// # Panics
-/// Panics if `payload` exceeds [`MAX_FRAME_LEN`] (see
-/// [`encode_frame_mux_into`]).
-pub fn encode_frame_into(payload: &[u8], out: &mut Vec<u8>) {
-    encode_frame_mux_into(SESSION_DEFAULT, payload, out);
 }
 
 /// Encodes one [`SESSION_DEFAULT`] frame into a fresh buffer.
@@ -154,73 +147,8 @@ pub fn encode_frame_mux(session: u32, payload: &[u8]) -> Vec<u8> {
 
 /// Writes one [`SESSION_DEFAULT`] frame (a single `write_all`, so frames
 /// from concurrent writers to different sockets never interleave partially).
-///
-/// Allocates a fresh buffer per call; steady-state senders should hold a
-/// [`FrameWriter`] instead.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.write_all(&encode_frame(payload))
-}
-
-/// A reusable outbound frame buffer.
-///
-/// Encoding into a fresh `Vec` per frame was measurable on the hot
-/// request/response path; a `FrameWriter` keeps one buffer per connection
-/// and reuses its capacity.  It also batches: [`queue`](Self::queue) stages
-/// any number of frames and [`flush`](Self::flush) sends them all in **one**
-/// `write_all` — one syscall, and still atomic with respect to concurrent
-/// writers on other sockets.
-#[derive(Debug, Default)]
-pub struct FrameWriter {
-    buf: Vec<u8>,
-}
-
-impl FrameWriter {
-    /// An empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Stages one [`SESSION_DEFAULT`] frame without writing it.
-    ///
-    /// # Panics
-    /// Panics if `payload` exceeds [`MAX_FRAME_LEN`] (see
-    /// [`encode_frame_mux_into`]).
-    pub fn queue(&mut self, payload: &[u8]) {
-        self.queue_mux(SESSION_DEFAULT, payload);
-    }
-
-    /// Stages one frame addressed to `session` without writing it.
-    ///
-    /// # Panics
-    /// Panics if `payload` exceeds [`MAX_FRAME_LEN`] (see
-    /// [`encode_frame_mux_into`]).
-    pub fn queue_mux(&mut self, session: u32, payload: &[u8]) {
-        encode_frame_mux_into(session, payload, &mut self.buf);
-    }
-
-    /// Bytes currently staged.
-    pub fn queued_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Writes every staged frame in a single `write_all`, keeping the
-    /// buffer's capacity for the next frames.  The staged bytes are dropped
-    /// on error too: a partially-written stream is dead for framing anyway.
-    pub fn flush(&mut self, w: &mut impl Write) -> io::Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        let result = w.write_all(&self.buf);
-        self.buf.clear();
-        result
-    }
-
-    /// Queues one [`SESSION_DEFAULT`] frame and flushes immediately: the
-    /// allocation-free equivalent of [`write_frame`].
-    pub fn write_frame(&mut self, w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-        self.queue(payload);
-        self.flush(w)
-    }
 }
 
 /// Validates a header + payload pair that was read elsewhere.
@@ -273,8 +201,7 @@ pub fn read_frame_mux(r: &mut impl Read) -> Result<(u32, Vec<u8>), FrameError> {
     Ok((frame_session(header), payload))
 }
 
-/// Reads exactly one frame from a blocking reader, discarding the session id
-/// (point-to-point connections only ever see [`SESSION_DEFAULT`]).
+/// Reads exactly one frame from a blocking reader, discarding the session id.
 ///
 /// Returns [`FrameError::Closed`] on a clean EOF *between* frames (the peer
 /// hung up) and [`FrameError::Io`] on an EOF mid-frame (the peer died).
@@ -314,11 +241,9 @@ mod tests {
             encode_frame(payload),
             encode_frame_mux(SESSION_DEFAULT, payload)
         );
-        let mut writer = FrameWriter::new();
-        writer.queue(payload);
-        let mut via_queue = Vec::new();
-        writer.flush(&mut via_queue).unwrap();
-        assert_eq!(via_queue, encode_frame(payload));
+        let mut written = Vec::new();
+        write_frame(&mut written, payload).unwrap();
+        assert_eq!(written, encode_frame(payload));
     }
 
     #[test]
@@ -367,71 +292,6 @@ mod tests {
             let mut cursor = io::Cursor::new(framed[..cut].to_vec());
             assert!(matches!(read_frame(&mut cursor), Err(FrameError::Io(_))));
         }
-    }
-
-    /// A writer that records how many `write` calls it served, to prove the
-    /// coalescing claim (N queued frames → one write).
-    struct CountingWriter {
-        bytes: Vec<u8>,
-        writes: usize,
-    }
-
-    impl Write for CountingWriter {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.writes += 1;
-            self.bytes.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn frame_writer_coalesces_queued_frames_into_one_write() {
-        let payloads: [&[u8]; 3] = [b"alpha", b"", &[0x5Au8; 777]];
-        let mut writer = FrameWriter::new();
-        for (i, payload) in payloads.iter().enumerate() {
-            writer.queue_mux(i as u32, payload);
-        }
-        assert!(writer.queued_bytes() > 0);
-
-        let mut sink = CountingWriter {
-            bytes: Vec::new(),
-            writes: 0,
-        };
-        writer.flush(&mut sink).unwrap();
-        assert_eq!(sink.writes, 1, "queued frames must leave in one write_all");
-        assert_eq!(writer.queued_bytes(), 0);
-
-        let mut cursor = io::Cursor::new(sink.bytes);
-        for (i, payload) in payloads.iter().enumerate() {
-            let (session, got) = read_frame_mux(&mut cursor).unwrap();
-            assert_eq!(session, i as u32);
-            assert_eq!(got, *payload);
-        }
-        assert!(matches!(read_frame(&mut cursor), Err(FrameError::Closed)));
-
-        // An empty flush is a no-op, not a zero-byte write.
-        let mut sink = CountingWriter {
-            bytes: Vec::new(),
-            writes: 0,
-        };
-        writer.flush(&mut sink).unwrap();
-        assert_eq!(sink.writes, 0);
-    }
-
-    #[test]
-    fn frame_writer_matches_the_allocating_encoder() {
-        let payload = b"same bytes on the wire";
-        let mut writer = FrameWriter::new();
-        let mut sent = Vec::new();
-        writer.write_frame(&mut sent, payload).unwrap();
-        assert_eq!(sent, encode_frame(payload));
-        // Buffer is reusable: a second frame produces identical bytes.
-        let mut again = Vec::new();
-        writer.write_frame(&mut again, payload).unwrap();
-        assert_eq!(again, sent);
     }
 
     #[test]

@@ -13,10 +13,13 @@
 //!   or a per-session factory as run by the `dpsync-serve` binary) behind
 //!   session-multiplexed frames, with bounded per-connection queues,
 //!   progress deadlines and graceful shutdown.
-//! * [`client`] — [`RemoteEdb`], a [`dpsync_edb::SecureOutsourcedDatabase`]
-//!   implementation that speaks the protocol over a socket, so every layer
-//!   above (owner runtime, analyst, simulation drivers, experiment harness)
-//!   runs remotely unchanged.
+//! * [`mux`] — the client: a [`MuxConnection`] hosts any number of
+//!   [`MuxSession`]s, each a [`dpsync_edb::SecureOutsourcedDatabase`]
+//!   implementation that speaks the protocol over the shared socket, so
+//!   every layer above (owner runtime, analyst, simulation drivers,
+//!   experiment harness) runs remotely unchanged.  The caller that waits for
+//!   a response reads the socket itself; no client thread runs in the
+//!   background.
 //!
 //! # What the transport does and does not leak
 //!
@@ -34,15 +37,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod client;
 pub mod frame;
 pub mod mux;
 mod reactor;
 pub mod server;
 pub mod wire;
 
-pub use client::RemoteEdb;
-pub use frame::FrameWriter;
 pub use mux::{MuxConnection, MuxSession};
 pub use reactor::{MAX_PENDING_REQUESTS, MAX_SESSIONS_PER_CONN, OUTBOUND_PAUSE_BYTES};
 pub use server::{

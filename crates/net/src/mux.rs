@@ -1,27 +1,39 @@
-//! [`MuxConnection`]: many logical owner sessions over one socket.
+//! [`MuxConnection`]: the TCP client, hosting any number of logical
+//! [`MuxSession`]s over one socket.
 //!
 //! The frame header carries a session id, and the reactor server keeps
-//! per-session state — so one TCP connection can host any number of
-//! independent [`SecureOutsourcedDatabase`] sessions.  This is how the
-//! C10k experiment models thousands of owners without thousands of client
-//! threads: a handful of sockets, each multiplexing hundreds of sessions.
+//! per-session state, so one socket can host any number of independent
+//! sessions.  Each [`MuxSession`] is a full [`SecureOutsourcedDatabase`]:
+//! `Owner`, `Analyst` and the simulation drivers run over TCP unchanged.  A
+//! lone owner or analyst opens one session on a connection of its own
+//! (`MuxConnection::connect(addr)?.open_shared()`); the C10k experiment
+//! models thousands of owners with a handful of sockets.
 //!
-//! * [`MuxConnection::connect`] dials the server and spawns one reader
-//!   thread that demultiplexes inbound frames by session id.
-//! * [`MuxConnection::open`] performs the hello handshake on a fresh
-//!   session id and returns a [`MuxSession`] — a full
-//!   [`SecureOutsourcedDatabase`] that drops in anywhere [`crate::RemoteEdb`]
-//!   does.
+//! Each session serializes its own exchanges (the wire protocol has one
+//! outstanding request per session), while sessions on one socket proceed
+//! concurrently.  No thread runs in the background: a caller waiting for a
+//! response reads the socket itself whenever no other caller is reading it,
+//! parking frames addressed to other open sessions in their inboxes and
+//! waking their callers.  A caller that finds the socket busy waits until its
+//! own frame has been parked or the socket is free.
 //!
-//! Each session serializes its own request/response exchanges (the wire
-//! protocol has one outstanding request per session), but different
-//! sessions on the same socket proceed concurrently: their frames
-//! interleave on the wire and the server runs them in parallel on its
-//! worker pool.  Error mapping follows [`crate::client`]: transport
-//! failures become [`EdbError::Storage`] /
-//! [`dpsync_edb::StorageError::Io`] with the peer address as the path.
+//! # Failures
+//!
+//! Errors the server reports round-trip as the original [`EdbError`].
+//! *Transport* failures map onto [`EdbError::Storage`] / [`StorageError::Io`]
+//! with the peer address as the path, so the error surface is identical
+//! across transports.  Nothing can resynchronise a stream once an exchange
+//! is cut short (a late reply would be read as the answer to the session's
+//! next request), so any timeout, I/O failure, framing failure or protocol
+//! violation, in either direction, is fatal for the connection: the socket
+//! is shut down, the reason recorded, and every session on the connection
+//! fails with it from then on.
+//!
+//! The trait's infallible observers (`table_stats`, `adversary_view`,
+//! `supports`) have no error channel; on a dead transport they panic with the
+//! transport failure.  A vanished server mid-simulation is not recoverable
+//! for the harness, and silently zeroed stats would corrupt results.
 
-use crate::client::{client_timeout, intern_name, transport_error};
 use crate::frame::{encode_frame_mux_into, read_frame_mux, FrameError, MAX_FRAME_LEN};
 use crate::wire::{BackendRequest, EntropyDraw, Request, Response, SessionRequest};
 use dpsync_crypto::{EncryptedRecord, MasterKey};
@@ -31,129 +43,223 @@ use dpsync_edb::engines::EngineKind;
 use dpsync_edb::leakage::LeakageProfile;
 use dpsync_edb::sogdb::{QueryOutcome, SecureOutsourcedDatabase, TableStats};
 use dpsync_edb::views::ViewDef;
-use dpsync_edb::{AdversaryView, EdbError, Query, Schema};
+use dpsync_edb::{AdversaryView, EdbError, Query, Schema, StorageError};
 use parking_lot::Mutex;
 use rand::RngCore;
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{self, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{mpsc, Arc, Weak};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, PoisonError};
+use std::time::{Duration, Instant};
 
-/// State shared between the connection handle, its sessions and the reader
-/// thread.
+/// Default client-side I/O timeout.  Generous: it exists to turn a hung
+/// server into a diagnosable error, not to bound query latency.
+pub const DEFAULT_CLIENT_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// The timeout [`MuxConnection::connect`] uses: the
+/// `DPSYNC_NET_TIMEOUT_SECS` environment variable when set (`0` disables the
+/// timeout entirely), [`DEFAULT_CLIENT_TIMEOUT`] otherwise.
+///
+/// The environment hook exists for very large remote runs: a full-scale
+/// `Π_Query` can legitimately keep the server silent for minutes of
+/// server-side compute, and the experiment harness constructs its clients
+/// through the default-connect path.
+pub fn client_timeout() -> Option<Duration> {
+    match std::env::var("DPSYNC_NET_TIMEOUT_SECS")
+        .ok()
+        .and_then(|v| v.parse::<u64>().ok())
+    {
+        Some(0) => None,
+        Some(secs) => Some(Duration::from_secs(secs)),
+        None => Some(DEFAULT_CLIENT_TIMEOUT),
+    }
+}
+
+const TIMED_OUT: &str = "timed out waiting for the server";
+
+fn transport_error(peer: &str, message: impl std::fmt::Display) -> EdbError {
+    EdbError::Storage(StorageError::Io {
+        path: format!("tcp://{peer}"),
+        message: message.to_string(),
+    })
+}
+
+/// Renders a socket failure; a timed-out read or write says so instead of
+/// the OS's "Resource temporarily unavailable".
+fn io_failure(e: &io::Error) -> String {
+    match e.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => TIMED_OUT.to_string(),
+        _ => format!("transport error: {e}"),
+    }
+}
+
+fn frame_failure(e: FrameError) -> String {
+    match e {
+        FrameError::Io(e) => io_failure(&e),
+        FrameError::Closed => "server closed the connection".to_string(),
+        e => e.to_string(),
+    }
+}
+
+/// Maps the server-announced engine name onto the `&'static str` the trait
+/// requires.  Unknown names collapse onto `"remote"` rather than leaking a
+/// string per connection.
+fn intern_name(name: &str) -> &'static str {
+    match name {
+        "oblidb" => "oblidb",
+        "crypt-epsilon" => "crypt-epsilon",
+        _ => "remote",
+    }
+}
+
+/// State shared between the connection handle and its sessions.  The
+/// socket closes when the last of them drops it.
 struct MuxShared {
-    writer: Mutex<WriteState>,
-    /// Inbound routing: session id → channel to whoever waits on it.
-    routes: Mutex<HashMap<u32, mpsc::Sender<Vec<u8>>>>,
-    /// Why the connection died, set once by the reader thread.
-    dead: Mutex<Option<String>>,
+    stream: TcpStream,
+    /// Reusable frame-encoding buffer, held across the whole `write_all` so
+    /// frames of concurrent sessions never interleave mid-frame.
+    out: Mutex<Vec<u8>>,
+    inbound: Mutex<Inbound>,
+    /// Signalled when a frame is parked, the socket is free to read, or the
+    /// connection dies.
+    wake: Condvar,
     peer: String,
     next_session: AtomicU32,
-    /// Per-exchange wait bound (`None` waits forever).
+    /// Per-frame wait bound (`None` waits forever).
     timeout: Option<Duration>,
 }
 
-struct WriteState {
-    stream: TcpStream,
-    /// Reusable frame-encoding buffer; frames are written atomically under
-    /// the writer lock so concurrent sessions never interleave mid-frame.
-    buf: Vec<u8>,
+#[derive(Default)]
+struct Inbound {
+    /// Open session → the frame another caller read for it, if any.  A
+    /// session has at most one request outstanding, so at most one frame
+    /// can be waiting for it.
+    inboxes: HashMap<u32, Option<Vec<u8>>>,
+    /// Whether some caller is reading the socket right now.
+    reading: bool,
+    /// Callers blocked on `wake`; a lone caller never pays for a notify.
+    waiters: usize,
+    /// Why the connection died, set once.
+    dead: Option<String>,
 }
 
 impl MuxShared {
-    fn transport_error(&self, message: impl std::fmt::Display) -> EdbError {
-        transport_error(&self.peer, message)
-    }
-
-    /// The death reason if the reader thread has given up, as an error.
-    fn death(&self) -> EdbError {
-        let reason = self
-            .dead
-            .lock()
-            .clone()
-            .unwrap_or_else(|| "connection closed".to_string());
-        self.transport_error(reason)
-    }
-
-    fn send_frame(&self, session: u32, payload: &[u8]) -> Result<(), EdbError> {
-        let mut writer = self.writer.lock();
-        let writer = &mut *writer;
-        writer.buf.clear();
-        encode_frame_mux_into(session, payload, &mut writer.buf);
-        writer
-            .stream
-            .write_all(&writer.buf)
-            .map_err(|e| self.transport_error(e))
-    }
-}
-
-impl Drop for MuxShared {
-    fn drop(&mut self) {
-        // Unblock the reader thread; it exits on the resulting EOF/error.
-        // The reader holds only a `Weak` to this state (an `Arc` would keep
-        // it alive past the last user handle, so this `Drop` — and with it
-        // the shutdown that unblocks the reader — could never run, leaking
-        // the thread and the socket for the life of the process).
-        let _ = self.writer.get_mut().stream.shutdown(Shutdown::Both);
-    }
-}
-
-/// Demultiplexes inbound frames to their sessions until the stream dies,
-/// then fails every waiter with the reason.  Exits as soon as the last
-/// user handle is gone: the `MuxShared` drop shuts the socket down, which
-/// fails the blocking read.
-fn reader_loop(mut stream: TcpStream, shared: Weak<MuxShared>) {
-    let reason = loop {
-        match read_frame_mux(&mut stream) {
-            Ok((session, payload)) => {
-                let Some(shared) = shared.upgrade() else {
-                    return; // every connection and session handle is gone
-                };
-                // An unroutable frame (session already dropped, or a
-                // courtesy error on the default session) has no waiter;
-                // dropping it is the only sound option.
-                let routes = shared.routes.lock();
-                if let Some(tx) = routes.get(&session) {
-                    let _ = tx.send(payload);
-                }
-            }
-            Err(FrameError::Closed) => break "server closed the connection".to_string(),
-            Err(e) => break e.to_string(),
+    fn wake_waiters(&self, inbound: &Inbound) {
+        if inbound.waiters > 0 {
+            self.wake.notify_all();
         }
-    };
-    let Some(shared) = shared.upgrade() else {
-        return; // shut down by the last handle's drop: nobody is waiting
-    };
-    *shared.dead.lock() = Some(reason);
-    // Dropping every sender wakes blocked receivers with `Disconnected`.
-    shared.routes.lock().clear();
+    }
+
+    /// Kills the connection: records the first failure's reason, shuts the
+    /// socket down (so a caller blocked reading it returns) and wakes every
+    /// waiter.  Returns the recorded reason as an error.
+    fn fail(&self, inbound: &mut Inbound, reason: String) -> EdbError {
+        let reason = inbound.dead.get_or_insert(reason).clone();
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.wake_waiters(inbound);
+        transport_error(&self.peer, reason)
+    }
+
+    /// [`Self::fail`] for a caller that does not hold the inbound lock.
+    fn kill(&self, reason: impl std::fmt::Display) -> EdbError {
+        self.fail(&mut self.inbound.lock(), reason.to_string())
+    }
+
+    fn send(&self, session: u32, payload: &[u8]) -> Result<(), EdbError> {
+        let mut out = self.out.lock();
+        if let Some(reason) = &self.inbound.lock().dead {
+            return Err(transport_error(&self.peer, reason));
+        }
+        out.clear();
+        encode_frame_mux_into(session, payload, &mut out);
+        (&self.stream)
+            .write_all(&out)
+            .map_err(|e| self.kill(io_failure(&e)))
+    }
+
+    /// Waits for the next frame addressed to `session`, reading the socket
+    /// itself whenever no other caller is.
+    fn recv(&self, session: u32) -> Result<Vec<u8>, EdbError> {
+        let deadline = self.timeout.map(|t| Instant::now() + t);
+        let mut inbound = self.inbound.lock();
+        loop {
+            if let Some(payload) = inbound.inboxes.get_mut(&session).and_then(Option::take) {
+                return Ok(payload);
+            }
+            if let Some(reason) = &inbound.dead {
+                return Err(transport_error(&self.peer, reason));
+            }
+            if !inbound.reading {
+                inbound.reading = true;
+                drop(inbound);
+                let frame = read_frame_mux(&mut &self.stream);
+                inbound = self.inbound.lock();
+                inbound.reading = false;
+                self.wake_waiters(&inbound);
+                match frame {
+                    Ok((to, payload)) if to == session => return Ok(payload),
+                    Ok((to, payload)) => match inbound.inboxes.get_mut(&to) {
+                        Some(slot @ None) => *slot = Some(payload),
+                        Some(Some(_)) => {
+                            let reason = format!("server sent session {to} an unrequested frame");
+                            return Err(self.fail(&mut inbound, reason));
+                        }
+                        // The server's courtesy error on session 0 (the
+                        // framing failure it reports follows), or a frame
+                        // for no open session: nobody waits for it.
+                        None => {}
+                    },
+                    Err(e) => return Err(self.fail(&mut inbound, frame_failure(e))),
+                }
+                continue;
+            }
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left.is_some_and(|left| left.is_zero()) {
+                return Err(self.fail(&mut inbound, TIMED_OUT.to_string()));
+            }
+            inbound.waiters += 1;
+            inbound = match left {
+                Some(left) => {
+                    self.wake
+                        .wait_timeout(inbound, left)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+                None => self
+                    .wake
+                    .wait(inbound)
+                    .unwrap_or_else(PoisonError::into_inner),
+            };
+            inbound.waiters -= 1;
+        }
+    }
 }
 
-/// One TCP connection hosting many logical sessions.
+/// One TCP connection hosting any number of logical sessions.
 ///
 /// Dropping the connection handle does *not* tear the socket down — the
-/// socket lives until the last [`MuxSession`] is gone, so the handle can be
-/// discarded once every session is open.  Once the last session *and* the
-/// handle are dropped, the socket is shut down and the reader thread
-/// exits.
+/// socket lives until the last [`MuxSession`] is gone too, so
+/// `MuxConnection::connect(addr)?.open_shared()` is a complete one-session
+/// client.
 pub struct MuxConnection {
     shared: Arc<MuxShared>,
 }
 
 impl MuxConnection {
-    /// Dials a server with the [`client_timeout`] exchange timeout.
+    /// Dials a server with the [`client_timeout`] I/O timeout.
     pub fn connect(addr: impl ToSocketAddrs + std::fmt::Debug) -> Result<Self, EdbError> {
         Self::connect_with_timeout(addr, client_timeout())
     }
 
-    /// As [`MuxConnection::connect`] with an explicit per-exchange wait
-    /// bound (`None` waits indefinitely).
+    /// As [`MuxConnection::connect`] with an explicit bound on every read,
+    /// write and wait for a frame (`None` waits indefinitely).
     pub fn connect_with_timeout(
         addr: impl ToSocketAddrs + std::fmt::Debug,
         timeout: Option<Duration>,
     ) -> Result<Self, EdbError> {
+        // `&str` debug-renders with quotes; strip them so the label reads as
+        // an address in error messages.
         let peer_label = format!("{addr:?}").trim_matches('"').to_string();
         let stream = TcpStream::connect(&addr).map_err(|e| transport_error(&peer_label, e))?;
         let peer = stream
@@ -162,25 +268,20 @@ impl MuxConnection {
             .unwrap_or(peer_label);
         stream
             .set_nodelay(true)
+            .and_then(|()| stream.set_read_timeout(timeout))
+            .and_then(|()| stream.set_write_timeout(timeout))
             .map_err(|e| transport_error(&peer, e))?;
-        let read_half = stream.try_clone().map_err(|e| transport_error(&peer, e))?;
-        let shared = Arc::new(MuxShared {
-            writer: Mutex::new(WriteState {
+        Ok(Self {
+            shared: Arc::new(MuxShared {
                 stream,
-                buf: Vec::new(),
+                out: Mutex::new(Vec::new()),
+                inbound: Mutex::new(Inbound::default()),
+                wake: Condvar::new(),
+                peer,
+                next_session: AtomicU32::new(1),
+                timeout,
             }),
-            routes: Mutex::new(HashMap::new()),
-            dead: Mutex::new(None),
-            peer,
-            next_session: AtomicU32::new(1),
-            timeout,
-        });
-        let reader_shared = Arc::downgrade(&shared);
-        std::thread::Builder::new()
-            .name("dpsync-net-mux-reader".into())
-            .spawn(move || reader_loop(read_half, reader_shared))
-            .map_err(|e| shared.transport_error(e))?;
-        Ok(Self { shared })
+        })
     }
 
     /// The peer address this connection is bound to.
@@ -192,12 +293,11 @@ impl MuxConnection {
     /// hello handshake and returns the session as a full SOGDB.
     pub fn open(&self, hello: SessionRequest) -> Result<MuxSession, EdbError> {
         let id = self.shared.next_session.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        self.shared.routes.lock().insert(id, tx);
+        self.shared.inbound.lock().inboxes.insert(id, None);
         let mut session = MuxSession {
             shared: Arc::clone(&self.shared),
             id,
-            exchange: Mutex::new(rx),
+            exchange: Mutex::new(()),
             name: "remote",
             profile: LeakageProfile {
                 class: dpsync_edb::LeakageClass::L2RevealAccessPattern,
@@ -217,12 +317,14 @@ impl MuxConnection {
                 session.cost = cost;
                 Ok(session)
             }
-            Response::Protocol(message) => Err(self
-                .shared
-                .transport_error(format!("server rejected the session: {message}"))),
-            other => Err(self
-                .shared
-                .transport_error(format!("unexpected response: {other:?}"))),
+            // A session rejection (wrong mode, missing disk root, session
+            // cap, ...) is an expected, actionable answer — surface the
+            // server's message directly.
+            Response::Protocol(message) => Err(transport_error(
+                &self.shared.peer,
+                format!("server rejected the session: {message}"),
+            )),
+            other => Err(session.refused(other)),
         }
     }
 
@@ -231,7 +333,8 @@ impl MuxConnection {
         self.open(SessionRequest::Shared)
     }
 
-    /// Opens a session asking a factory-mode server for a fresh engine.
+    /// Opens a session asking a factory-mode server (`dpsync-serve`) for a
+    /// fresh engine.
     pub fn open_engine(
         &self,
         engine: EngineKind,
@@ -246,18 +349,16 @@ impl MuxConnection {
     }
 }
 
-/// One logical owner session on a [`MuxConnection`].
-///
-/// A full [`SecureOutsourcedDatabase`]: drops in anywhere
-/// [`crate::RemoteEdb`] does, while sharing its socket with every other
+/// One logical session on a [`MuxConnection`]: a full
+/// [`SecureOutsourcedDatabase`] that shares its socket with every other
 /// session on the connection.
 pub struct MuxSession {
     shared: Arc<MuxShared>,
     id: u32,
-    /// The inbound frame channel, locked across a whole request/response
-    /// exchange so concurrent callers serialize per session (the wire
-    /// protocol has one outstanding request per session by construction).
-    exchange: Mutex<mpsc::Receiver<Vec<u8>>>,
+    /// Held across a whole request/response exchange so concurrent callers
+    /// serialize per session (the wire protocol has one outstanding request
+    /// per session by construction).
+    exchange: Mutex<()>,
     name: &'static str,
     profile: LeakageProfile,
     cost: CostModel,
@@ -265,7 +366,7 @@ pub struct MuxSession {
 
 impl Drop for MuxSession {
     fn drop(&mut self) {
-        self.shared.routes.lock().remove(&self.id);
+        self.shared.inbound.lock().inboxes.remove(&self.id);
     }
 }
 
@@ -275,18 +376,6 @@ impl MuxSession {
         self.id
     }
 
-    fn recv(&self, rx: &mpsc::Receiver<Vec<u8>>) -> Result<Vec<u8>, EdbError> {
-        match self.shared.timeout {
-            Some(timeout) => rx.recv_timeout(timeout).map_err(|e| match e {
-                mpsc::RecvTimeoutError::Timeout => self
-                    .shared
-                    .transport_error("timed out waiting for the server"),
-                mpsc::RecvTimeoutError::Disconnected => self.shared.death(),
-            }),
-            None => rx.recv().map_err(|_| self.shared.death()),
-        }
-    }
-
     /// Sends one request and reads its response, answering any interleaved
     /// entropy requests from `rng` (only `Π_Query` produces them).
     fn call(
@@ -294,28 +383,27 @@ impl MuxSession {
         request: Request,
         mut rng: Option<&mut dyn RngCore>,
     ) -> Result<Response, EdbError> {
-        let rx = self.exchange.lock();
-        self.shared.send_frame(self.id, &request.encode())?;
+        let _exchange = self.exchange.lock();
+        self.shared.send(self.id, &request.encode())?;
         loop {
-            let payload = self.recv(&rx)?;
-            let response =
-                Response::decode(&payload).map_err(|e| self.shared.transport_error(e))?;
+            let payload = self.shared.recv(self.id)?;
+            let response = Response::decode(&payload).map_err(|e| self.shared.kill(e))?;
             let Response::EntropyRequest(draw) = response else {
                 return Ok(response);
             };
             let Some(rng) = rng.as_deref_mut() else {
-                return Err(self
-                    .shared
-                    .transport_error("server requested entropy outside a query"));
+                return Err(self.shared.kill("server requested entropy outside a query"));
             };
             let bytes = match draw {
                 EntropyDraw::U32 => rng.next_u32().to_le_bytes().to_vec(),
                 EntropyDraw::U64 => rng.next_u64().to_le_bytes().to_vec(),
                 EntropyDraw::Fill(n) => {
-                    // Cap defensively so a compromised server cannot demand
+                    // A legitimate fill is 8 bytes per released group: one
+                    // request carries a whole group-by's noise.  Cap
+                    // defensively so a compromised server cannot demand
                     // unbounded memory.
                     if n as usize > MAX_FRAME_LEN / 2 {
-                        return Err(self.shared.transport_error("oversized entropy request"));
+                        return Err(self.shared.kill("oversized entropy request"));
                     }
                     let mut buf = vec![0u8; n as usize];
                     rng.fill_bytes(&mut buf);
@@ -323,24 +411,53 @@ impl MuxSession {
                 }
             };
             self.shared
-                .send_frame(self.id, &Request::EntropyReply(bytes).encode())?;
+                .send(self.id, &Request::EntropyReply(bytes).encode())?;
         }
     }
 
-    fn io_failed(&self, message: impl std::fmt::Display) -> EdbError {
-        self.shared.transport_error(message)
-    }
-
-    fn unexpected(&self, response: Response) -> EdbError {
-        self.io_failed(format!("unexpected response: {response:?}"))
-    }
-
-    fn expect_ok(&self, response: Response) -> Result<(), EdbError> {
+    /// The error for a response that is not the success its request expects.
+    fn refused(&self, response: Response) -> EdbError {
         match response {
+            Response::Edb(e) => e,
+            Response::Protocol(message) => transport_error(&self.shared.peer, message),
+            other => transport_error(&self.shared.peer, format!("unexpected response: {other:?}")),
+        }
+    }
+
+    fn expect_ok(&self, request: Request) -> Result<(), EdbError> {
+        match self.call(request, None)? {
             Response::Ok => Ok(()),
-            Response::Edb(e) => Err(e),
-            Response::Protocol(message) => Err(self.io_failed(message)),
-            other => Err(self.unexpected(other)),
+            other => Err(self.refused(other)),
+        }
+    }
+
+    /// A read: the server may interleave entropy requests (Crypt-ε draws its
+    /// noise through the caller's rng), so the rng rides along.
+    fn read(&self, request: Request, rng: &mut dyn RngCore) -> Result<QueryOutcome, EdbError> {
+        match self.call(request, Some(rng))? {
+            Response::Outcome(outcome) => Ok(outcome),
+            other => Err(self.refused(other)),
+        }
+    }
+
+    /// An infallible observer: `pick` extracts the answer, handing any other
+    /// response back.  Panics on a transport failure or a wrong response.
+    fn observe<T>(
+        &self,
+        what: &str,
+        request: Request,
+        pick: fn(Response) -> Result<T, Response>,
+    ) -> T {
+        match self.call(request, None).map(pick) {
+            Ok(Ok(answer)) => answer,
+            Ok(Err(other)) => panic!(
+                "mux session {} at {}: unexpected response to {what}: {other:?}",
+                self.id, self.shared.peer
+            ),
+            Err(e) => panic!(
+                "mux session {} at {}: {what} failed: {e}",
+                self.id, self.shared.peer
+            ),
         }
     }
 }
@@ -364,15 +481,11 @@ impl SecureOutsourcedDatabase for MuxSession {
         schema: Schema,
         records: Vec<EncryptedRecord>,
     ) -> Result<(), EdbError> {
-        let response = self.call(
-            Request::Setup {
-                table: table.to_string(),
-                schema,
-                records,
-            },
-            None,
-        )?;
-        self.expect_ok(response)
+        self.expect_ok(Request::Setup {
+            table: table.to_string(),
+            schema,
+            records,
+        })
     }
 
     fn update(
@@ -381,98 +494,59 @@ impl SecureOutsourcedDatabase for MuxSession {
         time: u64,
         records: Vec<EncryptedRecord>,
     ) -> Result<(), EdbError> {
-        let response = self.call(
-            Request::Update {
-                table: table.to_string(),
-                time,
-                records,
-            },
-            None,
-        )?;
-        self.expect_ok(response)
+        self.expect_ok(Request::Update {
+            table: table.to_string(),
+            time,
+            records,
+        })
     }
 
     fn query(&self, query: &Query, rng: &mut dyn RngCore) -> Result<QueryOutcome, EdbError> {
-        match self.call(Request::Query(query.clone()), Some(rng))? {
-            Response::Outcome(outcome) => Ok(outcome),
-            Response::Edb(e) => Err(e),
-            Response::Protocol(message) => Err(self.io_failed(message)),
-            other => Err(self.unexpected(other)),
-        }
+        self.read(Request::Query(query.clone()), rng)
     }
 
     fn supports(&self, query: &Query) -> bool {
-        match self.call(Request::Supports(query.clone()), None) {
-            Ok(Response::Supported(supported)) => supported,
-            Ok(other) => panic!(
-                "mux session {} at {}: unexpected response to supports: {other:?}",
-                self.id, self.shared.peer
-            ),
-            Err(e) => panic!(
-                "mux session {} at {}: supports failed: {e}",
-                self.id, self.shared.peer
-            ),
-        }
+        self.observe("supports", Request::Supports(query.clone()), |r| match r {
+            Response::Supported(supported) => Ok(supported),
+            other => Err(other),
+        })
     }
 
     fn table_stats(&self, table: &str) -> TableStats {
-        match self.call(Request::TableStats(table.to_string()), None) {
-            Ok(Response::Stats(stats)) => stats,
-            Ok(other) => panic!(
-                "mux session {} at {}: unexpected response to table_stats: {other:?}",
-                self.id, self.shared.peer
-            ),
-            Err(e) => panic!(
-                "mux session {} at {}: table_stats failed: {e}",
-                self.id, self.shared.peer
-            ),
-        }
+        self.observe(
+            "table_stats",
+            Request::TableStats(table.to_string()),
+            |r| match r {
+                Response::Stats(stats) => Ok(stats),
+                other => Err(other),
+            },
+        )
     }
 
     fn adversary_view(&self) -> AdversaryView {
-        match self.call(Request::AdversaryView, None) {
-            Ok(Response::View(view)) => view,
-            Ok(other) => panic!(
-                "mux session {} at {}: unexpected response to adversary_view: {other:?}",
-                self.id, self.shared.peer
-            ),
-            Err(e) => panic!(
-                "mux session {} at {}: adversary_view failed: {e}",
-                self.id, self.shared.peer
-            ),
-        }
+        self.observe("adversary_view", Request::AdversaryView, |r| match r {
+            Response::View(view) => Ok(view),
+            other => Err(other),
+        })
     }
 
     fn register_view(&self, def: &ViewDef) -> Result<(), EdbError> {
-        let response = self.call(
-            Request::RegisterView {
-                name: def.name().to_string(),
-                query: def.query().clone(),
-            },
-            None,
-        )?;
-        self.expect_ok(response)
+        self.expect_ok(Request::RegisterView {
+            name: def.name().to_string(),
+            query: def.query().clone(),
+        })
     }
 
     fn query_view(&self, name: &str, rng: &mut dyn RngCore) -> Result<QueryOutcome, EdbError> {
-        match self.call(Request::QueryView(name.to_string()), Some(rng))? {
-            Response::Outcome(outcome) => Ok(outcome),
-            Response::Edb(e) => Err(e),
-            Response::Protocol(message) => Err(self.io_failed(message)),
-            other => Err(self.unexpected(other)),
-        }
+        self.read(Request::QueryView(name.to_string()), rng)
     }
 
     fn register_index(&self, def: &IndexDef) -> Result<(), EdbError> {
-        let response = self.call(
-            Request::RegisterIndex {
-                name: def.name().to_string(),
-                table: def.table().to_string(),
-                column: def.column().to_string(),
-            },
-            None,
-        )?;
-        self.expect_ok(response)
+        self.expect_ok(Request::RegisterIndex {
+            name: def.name().to_string(),
+            table: def.table().to_string(),
+            column: def.column().to_string(),
+        })
     }
 
     fn query_indexed(
@@ -481,18 +555,13 @@ impl SecureOutsourcedDatabase for MuxSession {
         query: &Query,
         rng: &mut dyn RngCore,
     ) -> Result<QueryOutcome, EdbError> {
-        match self.call(
+        self.read(
             Request::QueryIndexed {
                 name: name.to_string(),
                 query: query.clone(),
             },
-            Some(rng),
-        )? {
-            Response::Outcome(outcome) => Ok(outcome),
-            Response::Edb(e) => Err(e),
-            Response::Protocol(message) => Err(self.io_failed(message)),
-            other => Err(self.unexpected(other)),
-        }
+            rng,
+        )
     }
 }
 
@@ -566,11 +635,9 @@ mod tests {
         assert_eq!(server.handler_panics(), 0);
     }
 
-    /// Regression: the reader thread must hold only a weak reference to the
-    /// shared state.  With a strong one, dropping every user handle never
-    /// ran `MuxShared::drop`, so the socket was never shut down, the reader
-    /// never unblocked, and one thread + fd leaked per dialed connection —
-    /// observable here as the server never seeing the connection close.
+    /// The socket belongs to the handles: once the connection handle and
+    /// its last session are dropped, the server sees the connection close
+    /// (nothing else, such as a background thread, may keep it open).
     #[test]
     fn dropping_the_last_handle_tears_the_connection_down() {
         let server = EdbTcpServer::bind(
@@ -591,7 +658,7 @@ mod tests {
         while server.stats().current_connections() != 0 {
             assert!(
                 std::time::Instant::now() < deadline,
-                "dropping every handle left the connection (and its reader thread) alive"
+                "dropping every handle left the connection alive"
             );
             std::thread::sleep(std::time::Duration::from_millis(10));
         }

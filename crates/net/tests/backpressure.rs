@@ -24,8 +24,8 @@ use dpsync_net::frame::{
 };
 use dpsync_net::wire::{EntropyDraw, SessionRequest};
 use dpsync_net::{
-    EdbTcpServer, EngineProvider, RemoteEdb, Request, Response, ServeOptions, MAX_PENDING_REQUESTS,
-    OUTBOUND_PAUSE_BYTES,
+    EdbTcpServer, EngineProvider, MuxConnection, Request, Response, ServeOptions,
+    MAX_PENDING_REQUESTS, OUTBOUND_PAUSE_BYTES,
 };
 use rand::RngCore;
 use std::io::Write;
@@ -63,7 +63,9 @@ fn a_stalled_reader_stays_bounded_and_is_reaped_while_others_run_at_full_rate() 
 
     // Fatten the adversary view so its response frame is substantial: the
     // stalled reader will request it repeatedly to grow server-side backlog.
-    let loader = RemoteEdb::connect(addr).unwrap();
+    let loader = MuxConnection::connect(addr)
+        .and_then(|conn| conn.open_shared())
+        .unwrap();
     loader
         .setup("load", schema(), records(&master, 0, 2))
         .unwrap();
@@ -145,7 +147,9 @@ fn a_stalled_reader_stays_bounded_and_is_reaped_while_others_run_at_full_rate() 
         for owner in 0..4 {
             let master = &master;
             scope.spawn(move || {
-                let remote = RemoteEdb::connect(addr).unwrap();
+                let remote = MuxConnection::connect(addr)
+                    .and_then(|conn| conn.open_shared())
+                    .unwrap();
                 let table = format!("owner_{owner}");
                 remote
                     .setup(&table, schema(), records(master, 0, 1))
@@ -202,7 +206,9 @@ fn a_stalled_reader_stays_bounded_and_is_reaped_while_others_run_at_full_rate() 
     assert_eq!(server.handler_panics(), 0);
 
     // The server still serves fresh sessions at full function.
-    let check = RemoteEdb::connect(addr).unwrap();
+    let check = MuxConnection::connect(addr)
+        .and_then(|conn| conn.open_shared())
+        .unwrap();
     assert_eq!(check.table_stats("load").ciphertext_count, 402);
 }
 
@@ -245,7 +251,9 @@ fn a_bursty_client_that_drains_its_backlog_resumes() {
     let mut cryptor = RecordCryptor::new(&master);
     let wide_records = encrypt_batch(&mut cryptor, &rows, 0);
 
-    let loader = RemoteEdb::connect(addr).unwrap();
+    let loader = MuxConnection::connect(addr)
+        .and_then(|conn| conn.open_shared())
+        .unwrap();
     loader.setup("big", wide_schema, wide_records).unwrap();
     let select = Query::Select {
         table: "big".to_string(),
@@ -357,7 +365,9 @@ fn an_entropy_owing_query_completes_under_full_pipelining() {
     // the reactor must have read (and paused on) the whole pipeline by the
     // time the worker asks for entropy, or the pause never engages and the
     // regression goes unexercised.
-    let loader = RemoteEdb::connect(addr).unwrap();
+    let loader = MuxConnection::connect(addr)
+        .and_then(|conn| conn.open_shared())
+        .unwrap();
     loader
         .setup("t", schema(), records(&master, 0, 20_000))
         .unwrap();

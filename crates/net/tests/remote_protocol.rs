@@ -1,19 +1,23 @@
 //! End-to-end protocol tests: a real `EdbTcpServer` on loopback driven by
-//! [`RemoteEdb`] clients, covering both session modes, the entropy
-//! sub-protocol, error round-trips and graceful shutdown.
+//! [`MuxConnection`] clients, covering both session modes, the entropy
+//! sub-protocol, error round-trips, graceful shutdown, and the rule that a
+//! timeout or a stuck write is fatal for the whole connection.
 
-use dpsync_crypto::{MasterKey, RecordCryptor};
+use dpsync_crypto::{EncryptedRecord, MasterKey, RecordCryptor};
+use dpsync_edb::cost::CostModel;
 use dpsync_edb::engines::base::encrypt_batch;
 use dpsync_edb::engines::{EngineKind, ObliDbEngine};
+use dpsync_edb::leakage::LeakageProfile;
 use dpsync_edb::query::{paper_queries, Predicate, Query};
-use dpsync_edb::sogdb::{QueryOutcome, SecureOutsourcedDatabase};
-use dpsync_edb::{DataType, EdbError, IndexDef, Row, Schema, StorageError, Value, ViewDef};
-use dpsync_net::{
-    BackendRequest, EdbTcpServer, EngineFactory, EngineProvider, MuxConnection, RemoteEdb,
+use dpsync_edb::sogdb::{QueryOutcome, SecureOutsourcedDatabase, TableStats};
+use dpsync_edb::{
+    AdversaryView, DataType, EdbError, IndexDef, Row, Schema, StorageError, Value, ViewDef,
 };
+use dpsync_net::{BackendRequest, EdbTcpServer, EngineFactory, EngineProvider, MuxConnection};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 fn schema() -> Schema {
     Schema::from_pairs(&[
@@ -38,13 +42,9 @@ fn factory_server() -> EdbTcpServer {
 fn full_protocol_run_over_loopback_matches_in_process() {
     let master = MasterKey::from_bytes([0x21; 32]);
     let server = factory_server();
-    let remote = RemoteEdb::connect_engine(
-        server.local_addr(),
-        EngineKind::ObliDb,
-        &master,
-        BackendRequest::Memory,
-    )
-    .expect("session opens");
+    let remote = MuxConnection::connect(server.local_addr())
+        .and_then(|conn| conn.open_engine(EngineKind::ObliDb, &master, BackendRequest::Memory))
+        .expect("session opens");
     let local = ObliDbEngine::new(&master);
 
     assert_eq!(remote.name(), "oblidb");
@@ -96,13 +96,11 @@ fn noisy_engine_consumes_the_client_rng_identically() {
     // the in-process run exactly.
     let master = MasterKey::from_bytes([0x22; 32]);
     let server = factory_server();
-    let remote = RemoteEdb::connect_engine(
-        server.local_addr(),
-        EngineKind::CryptEpsilon,
-        &master,
-        BackendRequest::Memory,
-    )
-    .unwrap();
+    let remote = MuxConnection::connect(server.local_addr())
+        .and_then(|conn| {
+            conn.open_engine(EngineKind::CryptEpsilon, &master, BackendRequest::Memory)
+        })
+        .unwrap();
     let local = EngineKind::CryptEpsilon.build(&master);
 
     let mut cryptor = RecordCryptor::new(&master);
@@ -168,13 +166,6 @@ fn each_noisy_release_costs_one_entropy_round_trip() {
     let master = MasterKey::from_bytes([0x27; 32]);
     let server = factory_server();
     let mux = MuxConnection::connect(server.local_addr()).unwrap();
-    let remote = RemoteEdb::connect_engine(
-        server.local_addr(),
-        EngineKind::CryptEpsilon,
-        &master,
-        BackendRequest::Memory,
-    )
-    .unwrap();
     let session = mux
         .open_engine(EngineKind::CryptEpsilon, &master, BackendRequest::Memory)
         .unwrap();
@@ -220,40 +211,37 @@ fn each_noisy_release_costs_one_entropy_round_trip() {
         ),
     ];
 
-    for client in [&remote as &dyn SecureOutsourcedDatabase, &session] {
-        let local = EngineKind::CryptEpsilon.build(&master);
-        for engine in [client, &*local] {
-            engine.setup("yellow", schema(), batch.clone()).unwrap();
-            engine.setup("empty", schema(), empty.clone()).unwrap();
-            engine
-                .register_view(
-                    &ViewDef::new("q2", paper_queries::q2_group_by_count("yellow")).unwrap(),
-                )
-                .unwrap();
-            engine
-                .register_index(&IndexDef::new("idx", "yellow", "pickup_id").unwrap())
-                .unwrap();
-        }
-        let mut remote_rng = CountingRng {
-            inner: StdRng::seed_from_u64(78),
-            calls: 0,
-        };
-        let mut local_rng = StdRng::seed_from_u64(78);
-        for (label, read, groups, calls) in reads {
-            let before = remote_rng.calls;
-            let remote_outcome = read(client, &mut remote_rng).unwrap();
-            let local_outcome = read(&*local, &mut local_rng).unwrap();
-            assert_eq!(remote_outcome.answer, local_outcome.answer, "{label}");
-            assert_eq!(
-                local_outcome.answer.as_groups().map(|g| g.len()),
-                groups,
-                "{label}"
-            );
-            assert_eq!(remote_rng.calls - before, calls, "{label}");
-            assert_eq!(remote_rng.inner, local_rng, "{label}");
-        }
-        assert_eq!(client.adversary_view(), local.adversary_view());
+    let client: &dyn SecureOutsourcedDatabase = &session;
+    let local = EngineKind::CryptEpsilon.build(&master);
+    for engine in [client, &*local] {
+        engine.setup("yellow", schema(), batch.clone()).unwrap();
+        engine.setup("empty", schema(), empty.clone()).unwrap();
+        engine
+            .register_view(&ViewDef::new("q2", paper_queries::q2_group_by_count("yellow")).unwrap())
+            .unwrap();
+        engine
+            .register_index(&IndexDef::new("idx", "yellow", "pickup_id").unwrap())
+            .unwrap();
     }
+    let mut remote_rng = CountingRng {
+        inner: StdRng::seed_from_u64(78),
+        calls: 0,
+    };
+    let mut local_rng = StdRng::seed_from_u64(78);
+    for (label, read, groups, calls) in reads {
+        let before = remote_rng.calls;
+        let remote_outcome = read(client, &mut remote_rng).unwrap();
+        let local_outcome = read(&*local, &mut local_rng).unwrap();
+        assert_eq!(remote_outcome.answer, local_outcome.answer, "{label}");
+        assert_eq!(
+            local_outcome.answer.as_groups().map(|g| g.len()),
+            groups,
+            "{label}"
+        );
+        assert_eq!(remote_rng.calls - before, calls, "{label}");
+        assert_eq!(remote_rng.inner, local_rng, "{label}");
+    }
+    assert_eq!(client.adversary_view(), local.adversary_view());
     assert_eq!(server.handler_panics(), 0);
 }
 
@@ -262,13 +250,11 @@ fn protocol_errors_round_trip_with_sources() {
     use std::error::Error as _;
     let master = MasterKey::from_bytes([0x23; 32]);
     let server = factory_server();
-    let remote = RemoteEdb::connect_engine(
-        server.local_addr(),
-        EngineKind::CryptEpsilon,
-        &master,
-        BackendRequest::Memory,
-    )
-    .unwrap();
+    let remote = MuxConnection::connect(server.local_addr())
+        .and_then(|conn| {
+            conn.open_engine(EngineKind::CryptEpsilon, &master, BackendRequest::Memory)
+        })
+        .unwrap();
 
     // Π_Update against a missing table.
     let err = remote.update("nope", 1, Vec::new()).unwrap_err();
@@ -319,13 +305,9 @@ fn disk_sessions_live_under_the_root_and_clean_up_on_disconnect() {
 
     let master = MasterKey::from_bytes([0x24; 32]);
     {
-        let remote = RemoteEdb::connect_engine(
-            server.local_addr(),
-            EngineKind::ObliDb,
-            &master,
-            BackendRequest::Disk,
-        )
-        .unwrap();
+        let remote = MuxConnection::connect(server.local_addr())
+            .and_then(|conn| conn.open_engine(EngineKind::ObliDb, &master, BackendRequest::Disk))
+            .unwrap();
         let mut cryptor = RecordCryptor::new(&master);
         remote
             .setup(
@@ -365,7 +347,9 @@ fn shared_server_serves_many_concurrent_clients() {
         for client_id in 0..4u64 {
             let master = &master;
             scope.spawn(move || {
-                let remote = RemoteEdb::connect(addr).unwrap();
+                let remote = MuxConnection::connect(addr)
+                    .and_then(|conn| conn.open_shared())
+                    .unwrap();
                 let table = format!("table-{client_id}");
                 let mut cryptor = RecordCryptor::with_sequence(master, (client_id + 1) << 40);
                 remote
@@ -392,7 +376,9 @@ fn shared_server_serves_many_concurrent_clients() {
     assert_eq!(view.update_pattern().len(), 4 * 21);
     assert_eq!(view.update_pattern().total_volume(), 4 * (1 + 20 * 2));
     // A late client observes the same merged transcript over the wire.
-    let remote = RemoteEdb::connect(addr).unwrap();
+    let remote = MuxConnection::connect(addr)
+        .and_then(|conn| conn.open_shared())
+        .unwrap();
     assert_eq!(remote.adversary_view(), view);
     assert_eq!(server.handler_panics(), 0);
 }
@@ -402,13 +388,9 @@ fn transport_failures_surface_as_storage_io_errors() {
     use std::error::Error as _;
     let master = MasterKey::from_bytes([0x26; 32]);
     let mut server = factory_server();
-    let remote = RemoteEdb::connect_engine(
-        server.local_addr(),
-        EngineKind::ObliDb,
-        &master,
-        BackendRequest::Memory,
-    )
-    .unwrap();
+    let remote = MuxConnection::connect(server.local_addr())
+        .and_then(|conn| conn.open_engine(EngineKind::ObliDb, &master, BackendRequest::Memory))
+        .unwrap();
     server.shutdown();
 
     let mut cryptor = RecordCryptor::new(&master);
@@ -435,6 +417,219 @@ fn connecting_to_a_dead_port_fails_cleanly() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         listener.local_addr().unwrap().port()
     };
-    let err = RemoteEdb::connect(("127.0.0.1", port)).unwrap_err();
+    let err = MuxConnection::connect(("127.0.0.1", port))
+        .err()
+        .expect("nothing listens on the port");
     assert!(matches!(err, EdbError::Storage(StorageError::Io { .. })));
+}
+
+/// An ObliDB engine whose `Count` queries wait for the test's go-ahead and
+/// report once answered, so the test decides when a late reply lands.
+struct GatedCounts {
+    inner: ObliDbEngine,
+    go: Mutex<mpsc::Receiver<()>>,
+    answered: mpsc::Sender<()>,
+}
+
+impl SecureOutsourcedDatabase for GatedCounts {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn leakage_profile(&self) -> LeakageProfile {
+        self.inner.leakage_profile()
+    }
+
+    fn cost_model(&self) -> CostModel {
+        self.inner.cost_model()
+    }
+
+    fn setup(
+        &self,
+        table: &str,
+        schema: Schema,
+        records: Vec<EncryptedRecord>,
+    ) -> Result<(), EdbError> {
+        self.inner.setup(table, schema, records)
+    }
+
+    fn update(
+        &self,
+        table: &str,
+        time: u64,
+        records: Vec<EncryptedRecord>,
+    ) -> Result<(), EdbError> {
+        self.inner.update(table, time, records)
+    }
+
+    fn query(&self, query: &Query, rng: &mut dyn RngCore) -> Result<QueryOutcome, EdbError> {
+        if !matches!(query, Query::Count { .. }) {
+            return self.inner.query(query, rng);
+        }
+        let _ = self.go.lock().unwrap().recv();
+        let outcome = self.inner.query(query, rng);
+        let _ = self.answered.send(());
+        outcome
+    }
+
+    fn supports(&self, query: &Query) -> bool {
+        self.inner.supports(query)
+    }
+
+    fn table_stats(&self, table: &str) -> TableStats {
+        self.inner.table_stats(table)
+    }
+
+    fn adversary_view(&self) -> AdversaryView {
+        self.inner.adversary_view()
+    }
+}
+
+fn assert_timed_out(result: Result<QueryOutcome, EdbError>, call: &str) {
+    match result {
+        Err(EdbError::Storage(StorageError::Io { message, .. })) => {
+            assert!(message.contains("timed out"), "{call}: {message}")
+        }
+        other => panic!("{call}: expected a timeout, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_timeout_kills_the_connection_instead_of_leaving_a_late_reply_behind() {
+    let master = MasterKey::from_bytes([0x28; 32]);
+    let (go, gate) = mpsc::channel();
+    let (answered, late) = mpsc::channel();
+    let engine: Arc<dyn SecureOutsourcedDatabase> = Arc::new(GatedCounts {
+        inner: ObliDbEngine::new(&master),
+        go: Mutex::new(gate),
+        answered,
+    });
+    let server =
+        EdbTcpServer::bind("127.0.0.1:0", EngineProvider::Shared(Arc::clone(&engine))).unwrap();
+    let conn =
+        MuxConnection::connect_with_timeout(server.local_addr(), Some(Duration::from_millis(200)))
+            .unwrap();
+    let session = conn.open_shared().unwrap();
+    let other = conn.open_shared().unwrap();
+    let mut cryptor = RecordCryptor::new(&master);
+    let rows: Vec<Row> = (0..30).map(|i| row(i, 60 + i as i64)).collect();
+    session
+        .setup("yellow", schema(), encrypt_batch(&mut cryptor, &rows, 0))
+        .unwrap();
+
+    let mut rng = StdRng::seed_from_u64(3);
+    let q1 = session.query(&paper_queries::q1_range_count("yellow"), &mut rng);
+    assert_timed_out(q1, "Q1");
+    // Q1 is answered late.  Reading that reply as the answer to the next
+    // request would hand Q2 a count of 30.
+    go.send(()).unwrap();
+    late.recv().unwrap();
+    let q2 = session.query(&paper_queries::q2_group_by_count("yellow"), &mut rng);
+    assert_timed_out(q2, "Q2 after the timeout");
+    // The connection is dead for every session it hosts.
+    let q2 = other.query(&paper_queries::q2_group_by_count("yellow"), &mut rng);
+    assert_timed_out(q2, "another session on the connection");
+}
+
+#[test]
+fn a_server_that_stops_reading_cannot_block_a_write_forever() {
+    use dpsync_net::frame::{encode_frame_mux, read_frame_mux};
+    use dpsync_net::Response;
+    use std::io::Write as _;
+
+    // A fake server: it answers the Hello, then never reads again.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (release, held) = mpsc::channel::<()>();
+    let fake = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let (session, _hello) = read_frame_mux(&mut stream).unwrap();
+        let local = ObliDbEngine::new(&MasterKey::from_bytes([0x29; 32]));
+        let info = Response::EngineInfo {
+            name: "oblidb".into(),
+            profile: local.leakage_profile(),
+            cost: local.cost_model(),
+        };
+        stream
+            .write_all(&encode_frame_mux(session, &info.encode()))
+            .unwrap();
+        let _ = held.recv();
+    });
+
+    let session = MuxConnection::connect_with_timeout(addr, Some(Duration::from_secs(1)))
+        .and_then(|conn| conn.open_shared())
+        .unwrap();
+    let mut cryptor = RecordCryptor::new(&MasterKey::from_bytes([0x29; 32]));
+    let record = encrypt_batch(&mut cryptor, &[row(0, 1)], 0).remove(0);
+    // 18 MiB: far more than loopback socket buffers hold.
+    let records = vec![record; (18 << 20) / EncryptedRecord::TOTAL_LEN];
+    let (done, result) = mpsc::channel();
+    let caller = std::thread::spawn(move || {
+        let _ = done.send(session.setup("yellow", schema(), records));
+    });
+    match result.recv_timeout(Duration::from_secs(30)) {
+        Ok(Err(EdbError::Storage(StorageError::Io { message, .. }))) => {
+            assert!(message.contains("timed out"), "{message}")
+        }
+        Ok(other) => panic!("expected a write timeout, got {other:?}"),
+        Err(_) => panic!("a write to a server that stopped reading blocked for 30 s"),
+    }
+    caller.join().unwrap();
+    drop(release);
+    fake.join().unwrap();
+}
+
+#[test]
+fn sixteen_crypt_epsilon_sessions_interleave_entropy_on_one_socket() {
+    // Every query owes an entropy round trip, so sixteen threads sharing one
+    // socket constantly read frames for each other.  Each thread's answers,
+    // stats and post-query RNG states must equal its own in-process run.
+    const THREADS: u64 = 16;
+    const ROUNDS: u64 = 150;
+    let master = MasterKey::from_bytes([0x2A; 32]);
+    let server = factory_server();
+    let conn = MuxConnection::connect(server.local_addr()).unwrap();
+    let (done, finished) = mpsc::channel();
+    let coordinator = std::thread::spawn(move || {
+        std::thread::scope(|scope| {
+            for thread in 0..THREADS {
+                let (conn, master) = (&conn, &master);
+                scope.spawn(move || {
+                    let remote = conn
+                        .open_engine(EngineKind::CryptEpsilon, master, BackendRequest::Memory)
+                        .unwrap();
+                    let local = EngineKind::CryptEpsilon.build(master);
+                    let mut cryptor = RecordCryptor::with_sequence(master, (thread + 1) << 40);
+                    let rows: Vec<Row> = (0..12).map(|i| row(0, 60 + i)).collect();
+                    let initial = encrypt_batch(&mut cryptor, &rows, 2);
+                    remote.setup("yellow", schema(), initial.clone()).unwrap();
+                    local.setup("yellow", schema(), initial).unwrap();
+                    let mut remote_rng = StdRng::seed_from_u64(thread);
+                    let mut local_rng = StdRng::seed_from_u64(thread);
+                    for t in 1..=ROUNDS {
+                        let batch = encrypt_batch(&mut cryptor, &[row(t, 60 + (t % 12) as i64)], 1);
+                        remote.update("yellow", t, batch.clone()).unwrap();
+                        local.update("yellow", t, batch).unwrap();
+                        assert_eq!(remote.table_stats("yellow"), local.table_stats("yellow"));
+                        let query = if t % 2 == 0 {
+                            paper_queries::q1_range_count("yellow")
+                        } else {
+                            paper_queries::q2_group_by_count("yellow")
+                        };
+                        let remote_outcome = remote.query(&query, &mut remote_rng).unwrap();
+                        let local_outcome = local.query(&query, &mut local_rng).unwrap();
+                        assert_eq!(remote_outcome.answer, local_outcome.answer, "round {t}");
+                        assert_eq!(remote_rng, local_rng, "round {t}");
+                    }
+                });
+            }
+        });
+        let _ = done.send(());
+    });
+    // A lost wake-up would hang a thread forever; fail instead.
+    if let Err(mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(120)) {
+        panic!("watchdog: the sessions did not finish within 120 s");
+    }
+    coordinator.join().expect("every session thread completes");
+    assert_eq!(server.handler_panics(), 0);
 }

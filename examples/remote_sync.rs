@@ -5,11 +5,11 @@
 //! sit on one side of a trust boundary, the untrusted server on the other.
 //! This example makes that boundary physical.  It starts an
 //! [`EdbTcpServer`] on a loopback port (the in-process stand-in for a
-//! `dpsync-serve` deployment), connects a [`RemoteEdb`] client, and replays
-//! a fixed-seed DP-Timer month over the socket — then replays the identical
-//! workload in-process and shows that the simulation report and, more
-//! importantly, the server's adversary view are byte-identical.  The wire
-//! adds latency, never leakage.
+//! `dpsync-serve` deployment), opens one session on a [`MuxConnection`] of
+//! its own, and replays a fixed-seed DP-Timer month over the socket — then
+//! replays the identical workload in-process and shows that the simulation
+//! report and, more importantly, the server's adversary view are
+//! byte-identical.  The wire adds latency, never leakage.
 //!
 //! Run with: `cargo run --example remote_sync`
 
@@ -23,7 +23,7 @@ use dp_sync::edb::query::paper_queries;
 use dp_sync::edb::sogdb::SecureOutsourcedDatabase;
 use dp_sync::edb::{DataType, Row, Schema, Value};
 use dp_sync::net::wire::BackendRequest;
-use dp_sync::net::{EdbTcpServer, EngineFactory, EngineProvider, RemoteEdb};
+use dp_sync::net::{EdbTcpServer, EngineFactory, EngineProvider, MuxConnection};
 
 fn workload(horizon: u64) -> OwnerWorkload {
     OwnerWorkload {
@@ -80,13 +80,9 @@ fn main() {
     println!("server listening on {}", server.local_addr());
 
     // ---- The owner/analyst side: everything below runs over the socket. ---
-    let remote = RemoteEdb::connect_engine(
-        server.local_addr(),
-        EngineKind::ObliDb,
-        &master,
-        BackendRequest::Memory,
-    )
-    .expect("open a session");
+    let remote = MuxConnection::connect(server.local_addr())
+        .and_then(|conn| conn.open_engine(EngineKind::ObliDb, &master, BackendRequest::Memory))
+        .expect("open a session");
     println!(
         "session open: engine `{}`, leakage class {}",
         remote.name(),

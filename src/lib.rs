@@ -20,7 +20,8 @@
 //!   database and the evaluation queries Q1/Q2/Q3.
 //! * [`net`] — the networked service tier: the CRC-framed wire protocol, the
 //!   `EdbTcpServer` listener (and the `dpsync-serve` binary built on it), and
-//!   the `RemoteEdb` client that runs the whole stack over TCP unchanged.
+//!   the `MuxConnection` client, whose `MuxSession`s run the whole stack over
+//!   TCP unchanged.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour and `ARCHITECTURE.md`
 //! for the full system inventory.
@@ -54,7 +55,7 @@ pub mod prelude {
         schema::{Schema, Value},
         sogdb::SecureOutsourcedDatabase,
     };
-    pub use dpsync_net::{EdbTcpServer, EngineProvider, RemoteEdb};
+    pub use dpsync_net::{EdbTcpServer, EngineProvider, MuxConnection, MuxSession};
     pub use dpsync_workloads::{
         queries,
         taxi::{TaxiConfig, TaxiDataset},

@@ -40,7 +40,9 @@
 //! exp_index [--seed 2021] [--smoke] [--out FILE]
 //! ```
 
-use dpsync_bench::perf::{BenchReport, BenchResult, REPORT_VERSION};
+use dpsync_bench::perf::{
+    median_ns, synthetic_rows, taxi_like_schema, BenchReport, BenchResult, REPORT_VERSION,
+};
 use dpsync_bench::report::TextTable;
 use dpsync_crypto::{MasterKey, RecordCryptor};
 use dpsync_dp::DpRng;
@@ -48,9 +50,9 @@ use dpsync_edb::engines::base::encrypt_batch;
 use dpsync_edb::engines::ObliDbEngine;
 use dpsync_edb::query::paper_queries;
 use dpsync_edb::sogdb::SecureOutsourcedDatabase;
-use dpsync_edb::{DataType, IndexDef, Predicate, Query, Row, Schema, Value};
+use dpsync_edb::{IndexDef, Predicate, Query, Value};
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 struct Config {
     seed: u64,
@@ -113,51 +115,6 @@ fn parse_args() -> Config {
         i += 1;
     }
     config
-}
-
-/// The same 5-column taxi-like schema the `exp_bench` query benchmarks load,
-/// so the sweep's numbers line up with `query_q1_emm_select`.
-fn taxi_like_schema() -> Schema {
-    Schema::from_pairs(&[
-        ("pick_time", DataType::Timestamp),
-        ("pickup_id", DataType::Int),
-        ("dropoff_id", DataType::Int),
-        ("distance", DataType::Float),
-        ("fare", DataType::Float),
-    ])
-}
-
-fn synthetic_rows(n: usize, seed: u64) -> Vec<Row> {
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    (0..n)
-        .map(|i| {
-            Row::new(vec![
-                Value::Timestamp(i as u64),
-                Value::Int((next() % 265) as i64 + 1),
-                Value::Int((next() % 265) as i64 + 1),
-                Value::Float((next() % 3_000) as f64 / 100.0),
-                Value::Float((next() % 10_000) as f64 / 100.0),
-            ])
-        })
-        .collect()
-}
-
-/// Median wall time of `samples` runs of `f`, in nanoseconds.
-fn median_ns(samples: usize, mut f: impl FnMut() -> Duration) -> f64 {
-    let mut elapsed: Vec<Duration> = (0..samples).map(|_| f()).collect();
-    elapsed.sort();
-    let median = if elapsed.len() % 2 == 1 {
-        elapsed[elapsed.len() / 2]
-    } else {
-        (elapsed[elapsed.len() / 2 - 1] + elapsed[elapsed.len() / 2]) / 2
-    };
-    median.as_nanos().max(1) as f64
 }
 
 /// One swept table size: per-query latencies (ns) for scan and indexed reads.

@@ -498,7 +498,9 @@ impl SuiteScale {
     }
 }
 
-fn taxi_like_schema() -> Schema {
+/// The 5-column taxi-like schema that the suite's query benchmarks and the
+/// `exp_views` / `exp_index` sweeps all load, so their numbers line up.
+pub fn taxi_like_schema() -> Schema {
     Schema::from_pairs(&[
         ("pick_time", DataType::Timestamp),
         ("pickup_id", DataType::Int),
@@ -508,9 +510,10 @@ fn taxi_like_schema() -> Schema {
     ])
 }
 
-fn synthetic_rows(n: usize, seed: u64) -> Vec<Row> {
-    // A cheap deterministic mix; the values only need to exercise realistic
-    // row serialization sizes and group cardinalities.
+/// `n` deterministic rows of [`taxi_like_schema`] for `seed`: a cheap
+/// xorshift mix, whose values only need to exercise realistic row
+/// serialization sizes and group cardinalities.
+pub fn synthetic_rows(n: usize, seed: u64) -> Vec<Row> {
     let mut state = seed | 1;
     let mut next = move || {
         state ^= state << 13;
@@ -531,25 +534,31 @@ fn synthetic_rows(n: usize, seed: u64) -> Vec<Row> {
         .collect()
 }
 
-/// Times `samples` runs of `sample` (each sets up its own state and returns
-/// the duration of its timed region) and folds them into a [`BenchResult`].
-fn run_bench(
-    name: &str,
-    samples: usize,
-    records_per_sample: u64,
-    mut sample: impl FnMut() -> Duration,
-) -> BenchResult {
-    let mut elapsed: Vec<Duration> = (0..samples).map(|_| sample()).collect();
+/// Median wall time of `samples` runs of `f`, in nanoseconds.
+///
+/// Floored at 1 ns, so a timed region that rounds to zero (coarse platform
+/// timers) yields a large-but-finite throughput instead of the +inf that
+/// would poison JSON serialization.
+pub fn median_ns(samples: usize, mut f: impl FnMut() -> Duration) -> f64 {
+    let mut elapsed: Vec<Duration> = (0..samples).map(|_| f()).collect();
     elapsed.sort();
     let median = if elapsed.len() % 2 == 1 {
         elapsed[elapsed.len() / 2]
     } else {
         (elapsed[elapsed.len() / 2 - 1] + elapsed[elapsed.len() / 2]) / 2
     };
-    // Floor the median at 1 ns so a timed region that rounds to zero (coarse
-    // platform timers) yields a large-but-finite throughput instead of the
-    // +inf that would poison JSON serialization.
-    let median_ns = median.as_nanos().max(1) as f64 / records_per_sample as f64;
+    median.as_nanos().max(1) as f64
+}
+
+/// Times `samples` runs of `sample` (each sets up its own state and returns
+/// the duration of its timed region) and folds them into a [`BenchResult`].
+fn run_bench(
+    name: &str,
+    samples: usize,
+    records_per_sample: u64,
+    sample: impl FnMut() -> Duration,
+) -> BenchResult {
+    let median_ns = median_ns(samples, sample) / records_per_sample as f64;
     BenchResult {
         name: name.to_string(),
         median_ns_per_op: median_ns,

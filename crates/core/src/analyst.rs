@@ -37,39 +37,43 @@ impl NamedQuery {
     }
 }
 
-/// Registration status of one recurring query's server-side view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ViewState {
-    /// Not yet registered (e.g. the table has not been set up yet); the
-    /// analyst retries at the next pose.
-    Pending,
-    /// Registered; reads go through `query_view`.
-    Registered,
-    /// The query shape or the engine cannot serve this as a view; reads
-    /// stay on the scan path permanently.
-    Unsupported,
+/// How the analyst serves its reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ReadMode {
+    /// Every read is a full scan.
+    #[default]
+    Scan,
+    /// Each materializable query is registered as a server-side view, named
+    /// after its label, and read through it.
+    Views,
+    /// Indexes derived from the workload are registered, and a planner under
+    /// this policy picks each read's plan.
+    Indexes(LeakagePolicy),
 }
 
-/// Registration status of one workload-derived encrypted-multimap index.
+/// Registration status of one server-side access path: a recurring query's
+/// view or a workload-derived index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum IndexState {
-    /// Not yet registered (the table may not exist yet); retried next pose.
+enum Registration {
+    /// Not yet registered (the table has not been set up yet); retried at
+    /// the next pose.
     Pending,
-    /// Registered on the server; the planner may route reads through it.
+    /// Registered; reads may go through it.
     Registered,
-    /// The engine or column cannot carry this index; never retried.
+    /// The shape, the column or the engine cannot carry it; reads stay on
+    /// the scan path for good.
     Unsupported,
 }
 
 /// The analyst: a fixed set of queries posed periodically.
 ///
-/// With [`Analyst::with_views`], the analyst treats its workload as *hot*:
-/// each materializable query is auto-registered as a server-side view (named
+/// Under [`ReadMode::Views`], the analyst treats its workload as *hot*: each
+/// materializable query is auto-registered as a server-side view (named
 /// after its label) the first time its table exists, and subsequent poses
 /// read the view in O(result size).  Answers and the adversary's transcript
 /// are unchanged — only the measured query latency drops.
 ///
-/// With [`Analyst::with_indexes`], the analyst derives candidate
+/// Under [`ReadMode::Indexes`], the analyst derives candidate
 /// encrypted-multimap indexes from its workload (one per predicate or join
 /// column, named `idx_{table}_{column}`), registers them lazily, and runs a
 /// leakage-aware [`Planner`] per pose: under
@@ -80,50 +84,42 @@ enum IndexState {
 #[derive(Debug, Clone, Default)]
 pub struct Analyst {
     queries: Vec<NamedQuery>,
-    use_views: bool,
-    view_states: Vec<ViewState>,
-    index_policy: Option<LeakagePolicy>,
-    index_states: Vec<(IndexDef, IndexState)>,
+    mode: ReadMode,
+    /// Under [`ReadMode::Views`], each query's view registration, in query
+    /// order; empty otherwise.
+    views: Vec<Registration>,
+    /// Under [`ReadMode::Indexes`], the candidate indexes and their
+    /// registration; empty otherwise.
+    indexes: Vec<(IndexDef, Registration)>,
+    /// Whether the engine supports each query, asked at the first pose.
+    supported: Option<Vec<bool>>,
 }
 
 impl Analyst {
     /// Creates an analyst with the given query workload (scan reads).
     pub fn new(queries: Vec<NamedQuery>) -> Self {
-        Self {
-            queries,
-            use_views: false,
-            view_states: Vec::new(),
-            index_policy: None,
-            index_states: Vec::new(),
-        }
+        Self::with_mode(queries, ReadMode::Scan)
     }
 
-    /// Creates an analyst that auto-registers its recurring queries as
-    /// materialized views and serves reads from them where possible.
-    pub fn with_views(queries: Vec<NamedQuery>) -> Self {
-        let view_states = vec![ViewState::Pending; queries.len()];
+    /// Creates an analyst that serves its reads under `mode`.
+    pub fn with_mode(queries: Vec<NamedQuery>, mode: ReadMode) -> Self {
+        let views = match mode {
+            ReadMode::Views => vec![Registration::Pending; queries.len()],
+            _ => Vec::new(),
+        };
+        let indexes = match mode {
+            ReadMode::Indexes(_) => candidate_indexes(&queries)
+                .into_iter()
+                .map(|def| (def, Registration::Pending))
+                .collect(),
+            _ => Vec::new(),
+        };
         Self {
             queries,
-            use_views: true,
-            view_states,
-            index_policy: None,
-            index_states: Vec::new(),
-        }
-    }
-
-    /// Creates an analyst that derives selection indexes from its workload
-    /// and plans each pose under the given leakage policy.
-    pub fn with_indexes(queries: Vec<NamedQuery>, policy: LeakagePolicy) -> Self {
-        let index_states = candidate_indexes(&queries)
-            .into_iter()
-            .map(|def| (def, IndexState::Pending))
-            .collect();
-        Self {
-            queries,
-            use_views: false,
-            view_states: Vec::new(),
-            index_policy: Some(policy),
-            index_states,
+            mode,
+            views,
+            indexes,
+            supported: None,
         }
     }
 
@@ -132,26 +128,22 @@ impl Analyst {
         &self.queries
     }
 
-    /// Whether this analyst serves recurring queries from materialized views.
-    pub fn uses_views(&self) -> bool {
-        self.use_views
-    }
-
-    /// The leakage policy of an index-planning analyst, if any.
-    pub fn index_policy(&self) -> Option<LeakagePolicy> {
-        self.index_policy
+    /// How this analyst serves its reads.
+    pub fn read_mode(&self) -> ReadMode {
+        self.mode
     }
 
     /// Poses every supported query against `edb`, comparing each answer with
     /// the ground truth computed over `logical`, and returns one sample per
     /// query.  Unsupported queries (e.g. joins on the Crypt-ε-like engine)
-    /// are skipped, mirroring the paper's footnote 2.
+    /// are skipped, mirroring the paper's footnote 2.  Support depends on a
+    /// query's shape alone, so the engine is asked once per query, at the
+    /// first pose.
     ///
-    /// A views-enabled analyst first (lazily, idempotently) registers each
-    /// materializable query and then reads through the view; queries whose
-    /// shape or engine cannot be served by a view fall back to the scan
-    /// path, and tables that have not been set up yet are retried at the
-    /// next pose.
+    /// Each pose first retries the pending view or index registrations:
+    /// tables that have not been set up yet are retried at the next pose,
+    /// and a query whose shape or engine cannot be served by a view or an
+    /// index stays on the scan path.
     pub fn pose_all(
         &mut self,
         time: Timestamp,
@@ -159,19 +151,19 @@ impl Analyst {
         logical: &PlainDatabase,
         rng: &mut dyn RngCore,
     ) -> Result<Vec<QuerySample>, EdbError> {
-        let plan_context = self.refresh_index_plan(edb, logical)?;
-        let mut samples = Vec::with_capacity(self.queries.len());
-        for index in 0..self.queries.len() {
-            let named = &self.queries[index];
-            if !edb.supports(&named.query) {
+        self.register_pending(edb)?;
+        let plan_context = self.index_plan(logical);
+        let queries = &self.queries;
+        let supported = self
+            .supported
+            .get_or_insert_with(|| queries.iter().map(|q| edb.supports(&q.query)).collect());
+        let mut samples = Vec::with_capacity(queries.len());
+        for (index, named) in queries.iter().enumerate() {
+            if !supported[index] {
                 continue;
             }
-            if self.use_views && self.view_states[index] == ViewState::Pending {
-                self.view_states[index] = register_hot_query(edb, named)?;
-            }
-            let named = &self.queries[index];
             let truth = logical.execute(&named.query)?;
-            let outcome = if self.use_views && self.view_states[index] == ViewState::Registered {
+            let outcome = if self.views.get(index) == Some(&Registration::Registered) {
                 edb.query_view(&named.label, rng)?
             } else if let Some((planner, registered)) = plan_context.as_ref() {
                 pose_planned(edb, planner, registered, &named.query, rng)?
@@ -195,22 +187,33 @@ impl Analyst {
         Ok(samples)
     }
 
-    /// Index-planning bookkeeping done once per pose: retries pending
-    /// registrations and rebuilds the planner's statistics from the
-    /// analyst's logical copy of the data.  `None` for non-index analysts.
-    fn refresh_index_plan(
-        &mut self,
-        edb: &dyn SecureOutsourcedDatabase,
-        logical: &PlainDatabase,
-    ) -> Result<Option<(Planner, Vec<IndexDef>)>, EdbError> {
-        let Some(policy) = self.index_policy else {
-            return Ok(None);
-        };
-        for (def, state) in &mut self.index_states {
-            if *state == IndexState::Pending {
-                *state = register_workload_index(edb, def)?;
+    /// Retries every pending view and index registration.
+    fn register_pending(&mut self, edb: &dyn SecureOutsourcedDatabase) -> Result<(), EdbError> {
+        for (named, state) in self.queries.iter().zip(&mut self.views) {
+            if *state == Registration::Pending {
+                // A shape that cannot be materialized (joins, selects) is
+                // refused by `ViewDef::new` without ever reaching the server.
+                *state = register(
+                    ViewDef::new(named.label.clone(), named.query.clone())
+                        .and_then(|def| edb.register_view(&def)),
+                )?;
             }
         }
+        for (def, state) in &mut self.indexes {
+            if *state == Registration::Pending {
+                *state = register(edb.register_index(def))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Index-planning bookkeeping done once per pose: rebuilds the planner's
+    /// statistics from the analyst's logical copy of the data.  `None`
+    /// unless the analyst plans over indexes.
+    fn index_plan(&self, logical: &PlainDatabase) -> Option<(Planner, Vec<IndexDef>)> {
+        let ReadMode::Indexes(policy) = self.mode else {
+            return None;
+        };
         let mut stats = Statistics::new();
         let mut observed = BTreeSet::new();
         for named in &self.queries {
@@ -226,12 +229,30 @@ impl Analyst {
             }
         }
         let registered = self
-            .index_states
+            .indexes
             .iter()
-            .filter(|(_, state)| *state == IndexState::Registered)
+            .filter(|(_, state)| *state == Registration::Registered)
             .map(|(def, _)| def.clone())
             .collect();
-        Ok(Some((Planner::new(policy, stats), registered)))
+        Some((Planner::new(policy, stats), registered))
+    }
+}
+
+/// Classifies one lazy registration attempt of a view or an index.
+fn register(result: Result<(), EdbError>) -> Result<Registration, EdbError> {
+    match result {
+        Ok(()) => Ok(Registration::Registered),
+        // No support on this engine, a name/definition conflict, or a column
+        // the table lacks or cannot index: permanent fallback to scans.
+        Err(
+            EdbError::UnsupportedQuery { .. }
+            | EdbError::InvalidView(_)
+            | EdbError::InvalidIndex(_)
+            | EdbError::Exec(_),
+        ) => Ok(Registration::Unsupported),
+        // The table has not joined the fleet yet: retry at the next pose.
+        Err(EdbError::NotSetUp(_)) => Ok(Registration::Pending),
+        Err(other) => Err(other),
     }
 }
 
@@ -300,24 +321,6 @@ fn candidate_indexes(queries: &[NamedQuery]) -> Vec<IndexDef> {
     defs
 }
 
-/// One lazy registration attempt for a workload-derived index.
-fn register_workload_index(
-    edb: &dyn SecureOutsourcedDatabase,
-    def: &IndexDef,
-) -> Result<IndexState, EdbError> {
-    match edb.register_index(def) {
-        Ok(()) => Ok(IndexState::Registered),
-        // No index support on this engine, a name/definition conflict, or a
-        // column the table lacks or cannot index: permanent scan fallback.
-        Err(EdbError::UnsupportedQuery { .. } | EdbError::InvalidIndex(_) | EdbError::Exec(_)) => {
-            Ok(IndexState::Unsupported)
-        }
-        // The table has not joined the fleet yet: retry at the next pose.
-        Err(EdbError::NotSetUp(_)) => Ok(IndexState::Pending),
-        Err(other) => Err(other),
-    }
-}
-
 /// Floors noisy counts at zero on the analyst's side of the trust boundary.
 ///
 /// Selection results pass through unchanged — only count shapes can go
@@ -332,38 +335,18 @@ fn clamp_released(answer: QueryAnswer) -> QueryAnswer {
     }
 }
 
-/// One lazy registration attempt for a recurring query.
-fn register_hot_query(
-    edb: &dyn SecureOutsourcedDatabase,
-    named: &NamedQuery,
-) -> Result<ViewState, EdbError> {
-    // A shape that cannot be materialized (joins, selects) stays on the
-    // scan path without ever hitting the server.
-    let Ok(def) = ViewDef::new(named.label.clone(), named.query.clone()) else {
-        return Ok(ViewState::Unsupported);
-    };
-    match edb.register_view(&def) {
-        Ok(()) => Ok(ViewState::Registered),
-        // No view support on this engine, a name conflict, or a column the
-        // table does not have: permanent fallback to scans.
-        Err(EdbError::UnsupportedQuery { .. } | EdbError::InvalidView(_) | EdbError::Exec(_)) => {
-            Ok(ViewState::Unsupported)
-        }
-        // The table has not joined the fleet yet: retry at the next pose.
-        Err(EdbError::NotSetUp(_)) => Ok(ViewState::Pending),
-        Err(other) => Err(other),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpsync_crypto::{MasterKey, RecordCryptor};
+    use dpsync_crypto::{EncryptedRecord, MasterKey, RecordCryptor};
     use dpsync_dp::DpRng;
+    use dpsync_edb::cost::CostModel;
     use dpsync_edb::engines::base::encrypt_batch;
     use dpsync_edb::engines::{CryptEpsilonEngine, ObliDbEngine};
+    use dpsync_edb::leakage::LeakageProfile;
     use dpsync_edb::query::paper_queries;
-    use dpsync_edb::{DataType, Row, Schema, Value};
+    use dpsync_edb::{AdversaryView, DataType, Row, Schema, TableStats, Value};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn schema() -> Schema {
         Schema::from_pairs(&[
@@ -441,6 +424,84 @@ mod tests {
         assert_eq!(q1.l1_error, 30.0, "30 unsynced matching records");
     }
 
+    /// An ObliDB engine that counts the `supports` calls it answers.
+    struct CountingSupports {
+        inner: ObliDbEngine,
+        supports_calls: AtomicUsize,
+    }
+
+    impl SecureOutsourcedDatabase for CountingSupports {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn leakage_profile(&self) -> LeakageProfile {
+            self.inner.leakage_profile()
+        }
+        fn cost_model(&self) -> CostModel {
+            self.inner.cost_model()
+        }
+        fn setup(
+            &self,
+            table: &str,
+            schema: Schema,
+            records: Vec<EncryptedRecord>,
+        ) -> Result<(), EdbError> {
+            self.inner.setup(table, schema, records)
+        }
+        fn update(
+            &self,
+            table: &str,
+            time: u64,
+            records: Vec<EncryptedRecord>,
+        ) -> Result<(), EdbError> {
+            self.inner.update(table, time, records)
+        }
+        fn query(&self, query: &Query, rng: &mut dyn RngCore) -> Result<QueryOutcome, EdbError> {
+            self.inner.query(query, rng)
+        }
+        fn supports(&self, query: &Query) -> bool {
+            self.supports_calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.supports(query)
+        }
+        fn table_stats(&self, table: &str) -> TableStats {
+            self.inner.table_stats(table)
+        }
+        fn adversary_view(&self) -> AdversaryView {
+            self.inner.adversary_view()
+        }
+    }
+
+    #[test]
+    fn supports_is_asked_once_per_query() {
+        // Support depends on the query's shape alone, so three poses of
+        // Q1–Q3 ask the engine three times, not once per query per pose.
+        let master = MasterKey::from_bytes([4u8; 32]);
+        let mut cryptor = RecordCryptor::new(&master);
+        let engine = CountingSupports {
+            inner: ObliDbEngine::new(&master),
+            supports_calls: AtomicUsize::new(0),
+        };
+        let yellow: Vec<Row> = (0..12).map(|i| row(i, 50 + i as i64)).collect();
+        let green: Vec<Row> = (0..4).map(|i| row(i, 5)).collect();
+        engine
+            .setup("yellow", schema(), encrypt_batch(&mut cryptor, &yellow, 2))
+            .unwrap();
+        engine
+            .setup("green", schema(), encrypt_batch(&mut cryptor, &green, 1))
+            .unwrap();
+        let db = logical(&yellow, &green);
+        let mut rng = DpRng::seed_from_u64(4);
+        let mut posing = analyst();
+        for pose in 1..=3 {
+            let samples = posing
+                .pose_all(Timestamp(360 * pose), &engine, &db, &mut rng)
+                .unwrap();
+            assert_eq!(samples.len(), 3);
+        }
+        assert_eq!(engine.supports_calls.load(Ordering::Relaxed), 3);
+        assert_eq!(engine.adversary_view().queries().len(), 9);
+    }
+
     #[test]
     fn crypt_epsilon_skips_joins() {
         let master = MasterKey::from_bytes([3u8; 32]);
@@ -502,8 +563,11 @@ mod tests {
         let a = analyst();
         assert_eq!(a.queries().len(), 3);
         assert_eq!(a.queries()[0].label, "Q1");
-        assert!(!a.uses_views());
-        assert!(Analyst::with_views(vec![]).uses_views());
+        assert_eq!(a.read_mode(), ReadMode::Scan);
+        assert_eq!(
+            Analyst::with_mode(vec![], ReadMode::Views).read_mode(),
+            ReadMode::Views
+        );
         assert!(Analyst::default().queries().is_empty());
     }
 
@@ -530,7 +594,7 @@ mod tests {
         let (view_engine, _) = build();
         let mut scan_rng = DpRng::seed_from_u64(11);
         let mut view_rng = DpRng::seed_from_u64(11);
-        let mut hot = Analyst::with_views(analyst().queries().to_vec());
+        let mut hot = Analyst::with_mode(analyst().queries().to_vec(), ReadMode::Views);
         // Pose twice: the first registers + backfills, the second reads the
         // maintained state.  Samples must match the scan path both times.
         for _ in 0..2 {
@@ -577,9 +641,9 @@ mod tests {
         let (index_engine, _) = build();
         let mut scan_rng = DpRng::seed_from_u64(21);
         let mut index_rng = DpRng::seed_from_u64(21);
-        let mut planned = Analyst::with_indexes(
+        let mut planned = Analyst::with_mode(
             analyst().queries().to_vec(),
-            dpsync_edb::planner::LeakagePolicy::TranscriptOnly,
+            ReadMode::Indexes(LeakagePolicy::TranscriptOnly),
         );
         for _ in 0..2 {
             let scan_samples = analyst()
@@ -622,9 +686,9 @@ mod tests {
         let (index_engine, _) = build();
         let mut scan_rng = DpRng::seed_from_u64(31);
         let mut index_rng = DpRng::seed_from_u64(31);
-        let mut planned = Analyst::with_indexes(
+        let mut planned = Analyst::with_mode(
             analyst().queries().to_vec(),
-            dpsync_edb::planner::LeakagePolicy::AllowIndexedVolume,
+            ReadMode::Indexes(LeakagePolicy::AllowIndexedVolume),
         );
         let scan_samples = analyst()
             .pose_all(Timestamp(360), &scan_engine, &db, &mut scan_rng)
@@ -651,10 +715,13 @@ mod tests {
         let master = MasterKey::from_bytes([6u8; 32]);
         let mut cryptor = RecordCryptor::new(&master);
         let engine = ObliDbEngine::new(&master);
-        let mut hot = Analyst::with_views(vec![NamedQuery::new(
-            "Q1",
-            paper_queries::q1_range_count("yellow"),
-        )]);
+        let mut hot = Analyst::with_mode(
+            vec![NamedQuery::new(
+                "Q1",
+                paper_queries::q1_range_count("yellow"),
+            )],
+            ReadMode::Views,
+        );
         let mut rng = DpRng::seed_from_u64(12);
         // Table missing: the pose fails downstream (logical db also lacks
         // it), but registration must not poison the state.

@@ -29,6 +29,7 @@
 //! [`Owner`]: crate::owner::Owner
 //! [`OwnerWorkload`]: crate::sparse::OwnerWorkload
 
+use crate::analyst::ReadMode;
 use dpsync_edb::planner::LeakagePolicy;
 use dpsync_edb::Query;
 
@@ -63,8 +64,7 @@ impl SimulationConfig {
 #[derive(Debug, Clone)]
 pub struct Simulation {
     config: SimulationConfig,
-    use_views: bool,
-    index_policy: Option<LeakagePolicy>,
+    read_mode: ReadMode,
 }
 
 impl Simulation {
@@ -72,32 +72,25 @@ impl Simulation {
     pub fn new(config: SimulationConfig) -> Self {
         Self {
             config,
-            use_views: false,
-            index_policy: None,
+            read_mode: ReadMode::Scan,
         }
     }
 
     /// Serves the analyst's recurring queries from auto-registered
-    /// materialized views (see [`Analyst::with_views`]).  Released answers
-    /// and the adversary view are byte-identical to the scan path; only
-    /// measured query latencies change.
-    ///
-    /// [`Analyst::with_views`]: crate::analyst::Analyst::with_views
+    /// materialized views (see [`ReadMode::Views`]).  Released answers and
+    /// the adversary view are byte-identical to the scan path; only measured
+    /// query latencies change.
     pub fn with_views(mut self) -> Self {
-        self.use_views = true;
-        self.index_policy = None;
+        self.read_mode = ReadMode::Views;
         self
     }
 
     /// Plans the analyst's queries over auto-registered encrypted-multimap
-    /// indexes under `policy` (see [`Analyst::with_indexes`]).  Released
-    /// answers are byte-identical to the scan path; under
+    /// indexes under `policy` (see [`ReadMode::Indexes`]).  Released answers
+    /// are byte-identical to the scan path; under
     /// [`LeakagePolicy::TranscriptOnly`] so is the adversary view.
-    ///
-    /// [`Analyst::with_indexes`]: crate::analyst::Analyst::with_indexes
     pub fn with_indexes(mut self, policy: LeakagePolicy) -> Self {
-        self.index_policy = Some(policy);
-        self.use_views = false;
+        self.read_mode = ReadMode::Indexes(policy);
         self
     }
 
@@ -106,14 +99,9 @@ impl Simulation {
         &self.config
     }
 
-    /// Whether the analyst serves recurring queries from materialized views.
-    pub fn uses_views(&self) -> bool {
-        self.use_views
-    }
-
-    /// The analyst's index-planning leakage policy, if indexes are enabled.
-    pub fn index_policy(&self) -> Option<LeakagePolicy> {
-        self.index_policy
+    /// How the analyst serves its reads.
+    pub fn read_mode(&self) -> ReadMode {
+        self.read_mode
     }
 }
 

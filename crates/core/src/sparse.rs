@@ -402,13 +402,7 @@ impl Simulation {
             .iter()
             .map(|(label, q)| NamedQuery::new(label.clone(), q.clone()))
             .collect();
-        let analyst = if self.uses_views() {
-            Analyst::with_views(named)
-        } else if let Some(policy) = self.index_policy() {
-            Analyst::with_indexes(named, policy)
-        } else {
-            Analyst::new(named)
-        };
+        let analyst = Analyst::with_mode(named, self.read_mode());
         let analyst_rng = rng.derive("analyst");
         let owner_rngs: Vec<DpRng> = workloads
             .iter()

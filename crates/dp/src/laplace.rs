@@ -1,4 +1,4 @@
-//! The Laplace distribution and the Laplace mechanism.
+//! The Laplace distribution and its sampler.
 //!
 //! DP-Sync uses Laplace noise in three places:
 //!
@@ -11,7 +11,6 @@
 //! The sampler uses the standard inverse-CDF transform and is exact up to
 //! floating-point rounding; no external distribution crate is required.
 
-use crate::{Epsilon, Sensitivity};
 use rand::Rng;
 
 /// A Laplace distribution centred at `mu` with scale `b`.
@@ -28,15 +27,6 @@ impl Laplace {
             Some(Self { mu, b })
         } else {
             None
-        }
-    }
-
-    /// Centred Laplace with scale `sensitivity / epsilon` — the noise the
-    /// Laplace mechanism adds for a query with the given sensitivity.
-    pub fn for_mechanism(epsilon: Epsilon, sensitivity: Sensitivity) -> Self {
-        Self {
-            mu: 0.0,
-            b: sensitivity.value() / epsilon.value(),
         }
     }
 
@@ -125,65 +115,6 @@ impl Laplace {
         } else {
             (-t / self.b).exp()
         }
-    }
-}
-
-/// The Laplace mechanism for real-valued (usually counting) queries.
-///
-/// `M(D) = f(D) + Lap(Δf / ε)`.  The paper's `Perturb` operator is the
-/// special case `Δf = 1` applied to a record count, followed by clamping the
-/// noisy count at zero (done by the caller — see `dpsync-core::perturb`).
-#[derive(Debug, Clone, Copy)]
-pub struct LaplaceMechanism {
-    epsilon: Epsilon,
-    sensitivity: Sensitivity,
-    noise: Laplace,
-}
-
-impl LaplaceMechanism {
-    /// Creates a mechanism with the given budget and sensitivity.
-    pub fn new(epsilon: Epsilon, sensitivity: Sensitivity) -> Self {
-        Self {
-            epsilon,
-            sensitivity,
-            noise: Laplace::for_mechanism(epsilon, sensitivity),
-        }
-    }
-
-    /// Creates a counting-query mechanism (sensitivity 1).
-    pub fn counting(epsilon: Epsilon) -> Self {
-        Self::new(epsilon, Sensitivity::ONE)
-    }
-
-    /// The privacy budget consumed by one invocation.
-    pub fn epsilon(&self) -> Epsilon {
-        self.epsilon
-    }
-
-    /// The sensitivity the mechanism was calibrated for.
-    pub fn sensitivity(&self) -> Sensitivity {
-        self.sensitivity
-    }
-
-    /// The underlying noise distribution.
-    pub fn noise(&self) -> Laplace {
-        self.noise
-    }
-
-    /// Releases a noisy version of `true_value`.
-    pub fn release<R: Rng + ?Sized>(&self, true_value: f64, rng: &mut R) -> f64 {
-        true_value + self.noise.sample(rng)
-    }
-
-    /// Releases a noisy count, rounded to the nearest integer (may be negative).
-    pub fn release_count<R: Rng + ?Sized>(&self, true_count: u64, rng: &mut R) -> i64 {
-        self.release(true_count as f64, rng).round() as i64
-    }
-
-    /// Releases a noisy count clamped below at zero, as used when a noisy
-    /// count determines how many records to fetch or pad.
-    pub fn release_count_clamped<R: Rng + ?Sized>(&self, true_count: u64, rng: &mut R) -> u64 {
-        self.release_count(true_count, rng).max(0) as u64
     }
 }
 
@@ -313,25 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn mechanism_scale_matches_sensitivity_over_epsilon() {
-        let m = LaplaceMechanism::new(Epsilon::new_unchecked(0.5), Sensitivity::new(2.0).unwrap());
-        assert_eq!(m.noise().scale(), 4.0);
-        let c = LaplaceMechanism::counting(Epsilon::new_unchecked(0.5));
-        assert_eq!(c.noise().scale(), 2.0);
-    }
-
-    #[test]
-    fn clamped_release_is_never_negative() {
-        let m = LaplaceMechanism::counting(Epsilon::new_unchecked(0.1));
-        let mut rng = DpRng::seed_from_u64(3);
-        for _ in 0..1000 {
-            // true count 0 means roughly half the draws are negative pre-clamp.
-            let v = m.release_count_clamped(0, &mut rng);
-            assert!(v < 1_000_000);
-        }
-    }
-
-    #[test]
     fn two_sided_tail_matches_cdf() {
         let d = dist();
         for &t in &[0.5, 1.0, 2.0, 5.0] {
@@ -345,17 +257,19 @@ mod tests {
     #[test]
     fn empirical_privacy_ratio_of_laplace_mechanism() {
         // Stochastic DP check: histogram of M(0) vs M(1) for a counting query
-        // should have likelihood ratio bounded (approximately) by e^epsilon.
-        let eps = Epsilon::new_unchecked(1.0);
-        let m = LaplaceMechanism::counting(eps);
+        // (sensitivity 1, so noise of scale 1/ε) should have likelihood ratio
+        // bounded (approximately) by e^epsilon.
+        let eps = crate::Epsilon::new_unchecked(1.0);
+        let noise = Laplace::new(0.0, 1.0 / eps.value()).unwrap();
         let mut rng = DpRng::seed_from_u64(17);
         let n = 400_000usize;
         let bucket = |x: f64| -> i64 { (x * 2.0).floor() as i64 };
         let mut h0 = std::collections::HashMap::new();
         let mut h1 = std::collections::HashMap::new();
         for _ in 0..n {
-            *h0.entry(bucket(m.release(0.0, &mut rng))).or_insert(0u32) += 1;
-            *h1.entry(bucket(m.release(1.0, &mut rng))).or_insert(0u32) += 1;
+            *h0.entry(bucket(noise.sample(&mut rng))).or_insert(0u32) += 1;
+            *h1.entry(bucket(1.0 + noise.sample(&mut rng)))
+                .or_insert(0u32) += 1;
         }
         let bound = eps.value().exp() * 1.35; // slack for sampling error
         for (k, &c0) in &h0 {

@@ -2,9 +2,10 @@
 //!
 //! This crate provides the mechanism toolbox the paper relies on:
 //!
-//! * [`laplace`] — the Laplace distribution and the classic Laplace mechanism
-//!   used by the `Perturb` operator (Algorithm 2) and the setup mechanism
-//!   `M_setup` (Table 4).
+//! * [`laplace`] — the Laplace distribution and its inverse-CDF sampler
+//!   (`sample_n` draws a whole release's noise with one RNG call), used by
+//!   the `Perturb` operator (Algorithm 2), the setup mechanism `M_setup`
+//!   (Table 4) and Crypt-ε's noisy answers.
 //! * [`svt`] — the sparse-vector technique ("Above Noisy Threshold") that
 //!   underlies DP-ANT (Algorithm 3 / `M_sparse` in Table 4).
 //! * [`composition`] — sequential and parallel composition (Lemmas 15/16) and
@@ -33,7 +34,7 @@ pub use bounds::{
 };
 pub use composition::{Composition, PrivacyAccountant, PrivacyBudget};
 pub use continual::TreeCounter;
-pub use laplace::{Laplace, LaplaceMechanism};
+pub use laplace::Laplace;
 pub use rng::DpRng;
 pub use svt::{AboveNoisyThreshold, SvtOutcome};
 

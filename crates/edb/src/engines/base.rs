@@ -10,8 +10,10 @@
 //!    `is_dummy` flag appended, so queries can be executed with the
 //!    dummy-aware rewriting of Appendix B.
 //!
-//! The engines differ only in leakage, cost model, answer perturbation and
-//! query support, which live in their own modules.
+//! They also share one read step, `EngineCore::read`, that every `Π_Query`
+//! path of both engines runs.  The engines differ only in leakage, cost
+//! model, the release rule they hand that step and query support, which live
+//! in their own modules.
 //!
 //! # Concurrency
 //!
@@ -24,20 +26,23 @@
 //! tables they touch, mirroring an enclave that scans a stable snapshot.
 
 use crate::backend::{StorageBackend, StorageError};
+use crate::cost::CostModel;
 use crate::emm::{EncryptedMultimap, IndexDef};
 use crate::exec::{self, ExecError};
 use crate::query::{Query, QueryAnswer};
 use crate::rewrite;
 use crate::row::Row;
 use crate::schema::{Schema, Value};
-use crate::server::ServerStorage;
-use crate::sogdb::{EdbError, TableStats};
+use crate::server::{QueryObservation, ServerStorage};
+use crate::sogdb::{EdbError, QueryOutcome, TableStats};
 use crate::views::{MaterializedView, ViewDef};
 use dpsync_crypto::{EncryptedRecord, KeyPurpose, MasterKey, Prf, RecordCryptor};
 use parking_lot::RwLock;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// One decrypted table held inside the trusted boundary of the engine.
 #[derive(Debug, Clone)]
@@ -68,6 +73,17 @@ pub struct EngineTable {
 
 /// A shareable handle to one decrypted table.
 type TableHandle = Arc<RwLock<EngineTable>>;
+
+/// Where one `Π_Query` read fetches its exact answer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ReadPath<'a> {
+    /// A full scan of the decrypted mirror.
+    Scan(&'a Query),
+    /// The registered view of this name.
+    View(&'a str),
+    /// The registered index of this name, serving the query.
+    Index(&'a str, &'a Query),
+}
 
 /// Shared engine state: ciphertext storage plus the decrypted mirror.
 ///
@@ -532,6 +548,79 @@ impl EngineCore {
             QueryAnswer::Scalar(pairs as f64),
             outer.rows.len() as u64 + fetched,
         ))
+    }
+
+    /// The read step of every `Π_Query` path of both engines.
+    ///
+    /// In this order: fetch the exact answer from `path`; hand it to the
+    /// engine's `release` rule, which returns the released answer and the
+    /// response volume the server observes; stop the clock; bill the read
+    /// under `cost`; take the next sequence number; record the observation.
+    /// A failed fetch returns before `release` runs, so it draws no noise and
+    /// takes no sequence number.
+    ///
+    /// A view read is billed and observed as the scan of its query: same
+    /// estimate (the engine still bills an oblivious pass), same kind, same
+    /// touched count, so the transcript cannot tell that views are on.  Only
+    /// the measured wall clock reflects the O(result size) read.  An indexed
+    /// read is billed by the entries it fetched and observed as kind
+    /// `"index"` with that fetch count: the declared extra leakage of the
+    /// index plan, which the planner only chooses under a policy that allows
+    /// it.
+    pub(crate) fn read(
+        &self,
+        path: ReadPath<'_>,
+        cost: &CostModel,
+        release: impl FnOnce(QueryAnswer) -> (QueryAnswer, Option<u64>),
+    ) -> Result<QueryOutcome, EdbError> {
+        let started = Instant::now();
+        let (query, exact, touched) = match path {
+            ReadPath::Scan(query) => {
+                let (answer, touched) = self.execute(query)?;
+                (Cow::Borrowed(query), answer, touched)
+            }
+            ReadPath::View(name) => {
+                let (query, answer, touched) = self.view_read(name)?;
+                (Cow::Owned(query), answer, touched)
+            }
+            ReadPath::Index(name, query) => {
+                let (answer, touched) = self.indexed_read(name, query)?;
+                (Cow::Borrowed(query), answer, touched)
+            }
+        };
+        let (answer, observed_response_volume) = release(exact);
+        let measured_seconds = started.elapsed().as_secs_f64();
+        let (kind, estimated_seconds) = match path {
+            ReadPath::Index(..) => ("index", cost.count_cost(touched)),
+            ReadPath::Scan(_) | ReadPath::View(_) => (query.kind(), self.estimate(&query, cost)),
+        };
+        let sequence = self.next_query_sequence();
+        self.storage.observe_query(QueryObservation {
+            sequence,
+            kind: kind.to_string(),
+            touched_records: touched,
+            observed_response_volume,
+        });
+        Ok(QueryOutcome {
+            answer,
+            estimated_seconds,
+            measured_seconds,
+            touched_records: touched,
+        })
+    }
+
+    /// The cost of a full scan of `query` under `cost`, from the stored
+    /// ciphertext counts.
+    fn estimate(&self, query: &Query, cost: &CostModel) -> f64 {
+        match query {
+            Query::Count { table, .. } | Query::Select { table, .. } => {
+                cost.count_cost(self.ciphertext_count(table))
+            }
+            Query::GroupByCount { table, .. } => cost.group_by_cost(self.ciphertext_count(table)),
+            Query::JoinCount { left, right, .. } => {
+                cost.join_cost(self.ciphertext_count(left), self.ciphertext_count(right))
+            }
+        }
     }
 
     /// Executes `query` over the decrypted mirror with dummy-aware rewriting.

@@ -12,7 +12,8 @@
 //!
 //! * query answers are the exact count over synced non-dummy records **plus
 //!   Laplace noise** with scale `1/ε_query` (per released value),
-//! * join queries are rejected,
+//! * only DP-noised aggregates are released: joins and row selections are
+//!   rejected (a selection's rows, and so their count, carry no noise),
 //! * per-record query cost is an order of magnitude heavier than the
 //!   SGX-based engine (crypto-assisted aggregation), and
 //! * the adversary observes the update pattern and noisy response volumes
@@ -20,17 +21,16 @@
 
 use crate::cost::CostModel;
 use crate::emm::IndexDef;
-use crate::engines::base::EngineCore;
+use crate::engines::base::{EngineCore, ReadPath};
 use crate::leakage::{LeakageClass, LeakageProfile};
 use crate::query::{Query, QueryAnswer};
 use crate::schema::Schema;
-use crate::server::{AdversaryView, QueryObservation};
+use crate::server::AdversaryView;
 use crate::sogdb::{EdbError, QueryOutcome, SecureOutsourcedDatabase, TableStats};
 use crate::views::ViewDef;
 use dpsync_crypto::{EncryptedRecord, MasterKey};
 use dpsync_dp::{Epsilon, Laplace};
 use rand::RngCore;
-use std::time::Instant;
 
 /// Default per-query privacy budget used in the paper's evaluation (§8).
 pub const DEFAULT_QUERY_EPSILON: f64 = 3.0;
@@ -77,16 +77,29 @@ impl CryptEpsilonEngine {
         self.query_epsilon
     }
 
-    fn estimate(&self, query: &Query) -> f64 {
-        match query {
-            Query::Count { table, .. } | Query::Select { table, .. } => {
-                self.cost.count_cost(self.core.ciphertext_count(table))
+    /// The L-DP release rule, shared by every read path: a shape Crypt-ε
+    /// cannot release is rejected before anything is fetched, and the exact
+    /// answer is perturbed, the server observing only its noisy volume.
+    /// A view's query needs no check: views cover count shapes only.
+    fn read(&self, path: ReadPath<'_>, rng: &mut dyn RngCore) -> Result<QueryOutcome, EdbError> {
+        if let ReadPath::Scan(query) | ReadPath::Index(_, query) = path {
+            if !self.supports(query) {
+                return Err(EdbError::UnsupportedQuery {
+                    engine: self.name(),
+                    kind: query.kind(),
+                });
             }
-            Query::GroupByCount { table, .. } => {
-                self.cost.group_by_cost(self.core.ciphertext_count(table))
-            }
-            Query::JoinCount { .. } => f64::INFINITY,
         }
+        // The exact answer is the same on every read path, so the Laplace
+        // draws from the caller's rng, and therefore the release and the
+        // noisy volume, are too: fixed-seed runs (including remote ones
+        // through the entropy sub-protocol) release identical answers with
+        // views or indexes on or off.
+        self.core.read(path, &self.cost, |exact| {
+            let answer = self.perturb_answer(exact, rng);
+            let noisy_volume = answer.total().max(0.0).round() as u64;
+            (answer, Some(noisy_volume))
+        })
     }
 
     fn perturb_answer(&self, answer: QueryAnswer, rng: &mut dyn RngCore) -> QueryAnswer {
@@ -117,7 +130,7 @@ impl CryptEpsilonEngine {
                         .collect(),
                 )
             }
-            QueryAnswer::Rows(rows) => QueryAnswer::Rows(rows),
+            QueryAnswer::Rows(_) => unreachable!("selections are rejected before the fetch"),
         }
     }
 }
@@ -158,38 +171,11 @@ impl SecureOutsourcedDatabase for CryptEpsilonEngine {
     }
 
     fn query(&self, query: &Query, rng: &mut dyn RngCore) -> Result<QueryOutcome, EdbError> {
-        if matches!(query, Query::JoinCount { .. }) {
-            return Err(EdbError::UnsupportedQuery {
-                engine: self.name(),
-                kind: "join",
-            });
-        }
-        let started = Instant::now();
-        let (exact, touched) = self.core.execute(query)?;
-        let answer = self.perturb_answer(exact, rng);
-        let measured = started.elapsed().as_secs_f64();
-        let estimated = self.estimate(query);
-
-        let sequence = self.core.next_query_sequence();
-        let noisy_volume = answer.total().max(0.0).round() as u64;
-        self.core.storage().observe_query(QueryObservation {
-            sequence,
-            kind: query.kind().to_string(),
-            touched_records: touched,
-            // L-DP: the server learns only the differentially-private volume.
-            observed_response_volume: Some(noisy_volume),
-        });
-
-        Ok(QueryOutcome {
-            answer,
-            estimated_seconds: estimated,
-            measured_seconds: measured,
-            touched_records: touched,
-        })
+        self.read(ReadPath::Scan(query), rng)
     }
 
     fn supports(&self, query: &Query) -> bool {
-        !matches!(query, Query::JoinCount { .. })
+        !matches!(query, Query::JoinCount { .. } | Query::Select { .. })
     }
 
     fn table_stats(&self, table: &str) -> TableStats {
@@ -207,34 +193,7 @@ impl SecureOutsourcedDatabase for CryptEpsilonEngine {
     }
 
     fn query_view(&self, name: &str, rng: &mut dyn RngCore) -> Result<QueryOutcome, EdbError> {
-        let started = Instant::now();
-        let (query, exact, touched) = self.core.view_read(name)?;
-        // The exact view answer equals the exact scan answer bit-for-bit, so
-        // drawing the Laplace perturbation from the caller's rng consumes the
-        // same draws in the same order as the scan path — fixed-seed runs
-        // (including remote ones through the entropy sub-protocol) release
-        // identical noisy answers and identical noisy volumes with views on
-        // or off.
-        let answer = self.perturb_answer(exact, rng);
-        let measured = started.elapsed().as_secs_f64();
-        let estimated = self.estimate(&query);
-
-        let sequence = self.core.next_query_sequence();
-        let noisy_volume = answer.total().max(0.0).round() as u64;
-        self.core.storage().observe_query(QueryObservation {
-            sequence,
-            kind: query.kind().to_string(),
-            touched_records: touched,
-            // L-DP: the server learns only the differentially-private volume.
-            observed_response_volume: Some(noisy_volume),
-        });
-
-        Ok(QueryOutcome {
-            answer,
-            estimated_seconds: estimated,
-            measured_seconds: measured,
-            touched_records: touched,
-        })
+        self.read(ReadPath::View(name), rng)
     }
 
     fn register_index(&self, def: &IndexDef) -> Result<(), EdbError> {
@@ -249,40 +208,7 @@ impl SecureOutsourcedDatabase for CryptEpsilonEngine {
         query: &Query,
         rng: &mut dyn RngCore,
     ) -> Result<QueryOutcome, EdbError> {
-        // Crypt-ε does not support joins, indexed or not (footnote 2).
-        if matches!(query, Query::JoinCount { .. }) {
-            return Err(EdbError::UnsupportedQuery {
-                engine: self.name(),
-                kind: "join",
-            });
-        }
-        let started = Instant::now();
-        let (exact, touched) = self.core.indexed_read(name, query)?;
-        // The exact indexed answer equals the exact scan answer bit-for-bit,
-        // so the Laplace draws (and the released noisy values) match the
-        // scan path's under the same rng state.
-        let answer = self.perturb_answer(exact, rng);
-        let measured = started.elapsed().as_secs_f64();
-        let estimated = self.cost.count_cost(touched);
-
-        let sequence = self.core.next_query_sequence();
-        let noisy_volume = answer.total().max(0.0).round() as u64;
-        self.core.storage().observe_query(QueryObservation {
-            sequence,
-            kind: "index".to_string(),
-            touched_records: touched,
-            // L-DP volume plus the declared index access pattern (the
-            // touched-entry count above) — the leakage the planner accepts
-            // when it picks this plan.
-            observed_response_volume: Some(noisy_volume),
-        });
-
-        Ok(QueryOutcome {
-            answer,
-            estimated_seconds: estimated,
-            measured_seconds: measured,
-            touched_records: touched,
-        })
+        self.read(ReadPath::Index(name, query), rng)
     }
 }
 
@@ -428,6 +354,41 @@ mod tests {
             engine.query(&q, &mut rng),
             Err(EdbError::UnsupportedQuery { kind: "join", .. })
         ));
+    }
+
+    #[test]
+    fn selections_are_rejected_before_anything_is_fetched() {
+        use crate::query::Predicate;
+        // A selection would release exact rows to the analyst and their
+        // exact count to the server, outside the engine's L-DP class.  It is
+        // refused on the scan and on the index path alike: no observation,
+        // no sequence number, no draw from the caller's rng.
+        let (engine, _) = engine_with_data(37);
+        engine
+            .register_index(&IndexDef::new("idx", "yellow", "pickup_id").unwrap())
+            .unwrap();
+        let select = Query::Select {
+            table: "yellow".into(),
+            columns: vec!["pick_time".into()],
+            predicate: Some(Predicate::Eq("pickup_id".into(), Value::Int(75))),
+        };
+        assert!(!engine.supports(&select));
+        let start = StdRng::seed_from_u64(12);
+        let mut rng = start.clone();
+        assert!(matches!(
+            engine.query(&select, &mut rng),
+            Err(EdbError::UnsupportedQuery { kind: "select", .. })
+        ));
+        assert!(matches!(
+            engine.query_indexed("idx", &select, &mut rng),
+            Err(EdbError::UnsupportedQuery { kind: "select", .. })
+        ));
+        assert_eq!(rng, start);
+        assert!(engine.adversary_view().queries().is_empty());
+        engine
+            .query(&paper_queries::q1_range_count("yellow"), &mut rng)
+            .unwrap();
+        assert_eq!(engine.adversary_view().queries()[0].sequence, 0);
     }
 
     #[test]

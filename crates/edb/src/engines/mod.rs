@@ -3,14 +3,15 @@
 //! The paper evaluates DP-Sync on two systems drawn from different leakage
 //! groups (§8): ObliDB (L-0, oblivious query processing inside SGX) and
 //! Crypt-ε (L-DP, crypto-assisted differential privacy).  This module
-//! provides simulators for both, sharing the storage/decryption plumbing in
-//! [`base`]:
+//! provides simulators for both, sharing the storage/decryption plumbing and
+//! the one read step of every `Π_Query` path in [`base`]; each engine only
+//! hands that step its release rule:
 //!
 //! * [`oblidb::ObliDbEngine`] — exact answers, oblivious full-scan cost,
 //!   supports joins, reveals nothing about response volumes.
 //! * [`crypte::CryptEpsilonEngine`] — DP-noised answers (per-query budget),
-//!   heavier per-record cost, no join support, reveals only
-//!   differentially-private response volumes.
+//!   heavier per-record cost, aggregates only (no joins, no selections),
+//!   reveals only differentially-private response volumes.
 
 pub mod base;
 pub mod crypte;

@@ -15,16 +15,15 @@
 
 use crate::cost::CostModel;
 use crate::emm::IndexDef;
-use crate::engines::base::EngineCore;
+use crate::engines::base::{EngineCore, ReadPath};
 use crate::leakage::{LeakageClass, LeakageProfile};
 use crate::query::Query;
 use crate::schema::Schema;
-use crate::server::{AdversaryView, QueryObservation};
+use crate::server::AdversaryView;
 use crate::sogdb::{EdbError, QueryOutcome, SecureOutsourcedDatabase, TableStats};
 use crate::views::ViewDef;
 use dpsync_crypto::{EncryptedRecord, MasterKey};
 use rand::RngCore;
-use std::time::Instant;
 
 /// The ObliDB-like engine.
 #[derive(Debug)]
@@ -60,19 +59,10 @@ impl ObliDbEngine {
         }
     }
 
-    fn estimate(&self, query: &Query) -> f64 {
-        match query {
-            Query::Count { table, .. } | Query::Select { table, .. } => {
-                self.cost.count_cost(self.core.ciphertext_count(table))
-            }
-            Query::GroupByCount { table, .. } => {
-                self.cost.group_by_cost(self.core.ciphertext_count(table))
-            }
-            Query::JoinCount { left, right, .. } => self.cost.join_cost(
-                self.core.ciphertext_count(left),
-                self.core.ciphertext_count(right),
-            ),
-        }
+    /// The L-0 release rule, shared by every read path: the exact answer,
+    /// with no response volume observed by the server.
+    fn read(&self, path: ReadPath<'_>) -> Result<QueryOutcome, EdbError> {
+        self.core.read(path, &self.cost, |exact| (exact, None))
     }
 }
 
@@ -112,26 +102,7 @@ impl SecureOutsourcedDatabase for ObliDbEngine {
     }
 
     fn query(&self, query: &Query, _rng: &mut dyn RngCore) -> Result<QueryOutcome, EdbError> {
-        let started = Instant::now();
-        let (answer, touched) = self.core.execute(query)?;
-        let measured = started.elapsed().as_secs_f64();
-        let estimated = self.estimate(query);
-
-        let sequence = self.core.next_query_sequence();
-        self.core.storage().observe_query(QueryObservation {
-            sequence,
-            kind: query.kind().to_string(),
-            touched_records: touched,
-            // L-0: response volumes are hidden from the server.
-            observed_response_volume: None,
-        });
-
-        Ok(QueryOutcome {
-            answer,
-            estimated_seconds: estimated,
-            measured_seconds: measured,
-            touched_records: touched,
-        })
+        self.read(ReadPath::Scan(query))
     }
 
     fn supports(&self, _query: &Query) -> bool {
@@ -153,30 +124,7 @@ impl SecureOutsourcedDatabase for ObliDbEngine {
     }
 
     fn query_view(&self, name: &str, _rng: &mut dyn RngCore) -> Result<QueryOutcome, EdbError> {
-        let started = Instant::now();
-        let (query, answer, touched) = self.core.view_read(name)?;
-        let measured = started.elapsed().as_secs_f64();
-        // The transcript must be indistinguishable from the equivalent full
-        // scan: same cost estimate (the enclave still *bills* an oblivious
-        // pass), same observation kind, same touched-record count.  Only the
-        // measured wall clock reflects the O(result size) read.
-        let estimated = self.estimate(&query);
-
-        let sequence = self.core.next_query_sequence();
-        self.core.storage().observe_query(QueryObservation {
-            sequence,
-            kind: query.kind().to_string(),
-            touched_records: touched,
-            // L-0: response volumes are hidden from the server.
-            observed_response_volume: None,
-        });
-
-        Ok(QueryOutcome {
-            answer,
-            estimated_seconds: estimated,
-            measured_seconds: measured,
-            touched_records: touched,
-        })
+        self.read(ReadPath::View(name))
     }
 
     fn register_index(&self, def: &IndexDef) -> Result<(), EdbError> {
@@ -192,30 +140,7 @@ impl SecureOutsourcedDatabase for ObliDbEngine {
         query: &Query,
         _rng: &mut dyn RngCore,
     ) -> Result<QueryOutcome, EdbError> {
-        let started = Instant::now();
-        let (answer, touched) = self.core.indexed_read(name, query)?;
-        let measured = started.elapsed().as_secs_f64();
-        // An indexed read is honestly billed and observed by the entries it
-        // fetches — this is the declared extra leakage of the index plan,
-        // and the planner only chooses it under a policy that allows it.
-        let estimated = self.cost.count_cost(touched);
-
-        let sequence = self.core.next_query_sequence();
-        self.core.storage().observe_query(QueryObservation {
-            sequence,
-            kind: "index".to_string(),
-            touched_records: touched,
-            // L-0: the *answer* volume is still hidden; only the index
-            // access pattern (entries fetched) is visible.
-            observed_response_volume: None,
-        });
-
-        Ok(QueryOutcome {
-            answer,
-            estimated_seconds: estimated,
-            measured_seconds: measured,
-            touched_records: touched,
-        })
+        self.read(ReadPath::Index(name, query))
     }
 }
 

@@ -233,18 +233,6 @@ impl ServerStorage {
         self.with_shard(table, |shard| shard.scan(visit))
     }
 
-    /// Total ciphertexts across all tables.
-    pub fn total_ciphertexts(&self) -> u64 {
-        let shards: Vec<ShardHandle> = self.shards.read().values().map(Arc::clone).collect();
-        shards.iter().map(|s| s.read().ciphertext_count()).sum()
-    }
-
-    /// Total stored bytes across all tables.
-    pub fn total_bytes(&self) -> u64 {
-        let shards: Vec<ShardHandle> = self.shards.read().values().map(Arc::clone).collect();
-        shards.iter().map(|s| s.read().ciphertext_bytes()).sum()
-    }
-
     /// Merges the per-table shards into the canonical adversary transcript.
     ///
     /// Update events are ordered by `(time, table name, per-table arrival
@@ -282,30 +270,6 @@ impl ServerStorage {
         queries.sort_by_key(|q| q.sequence);
         AdversaryView::from_parts(pattern, queries, total_bytes)
     }
-
-    /// The transcript restricted to one table (the per-owner view used by
-    /// single-table privacy arguments; queries are global and omitted).
-    pub fn table_view(&self, table: &str) -> AdversaryView {
-        let mut pattern = UpdatePattern::new();
-        let mut bytes = 0u64;
-        if let Some(shard) = self.existing_shard(table) {
-            let guard = shard.read();
-            for e in guard.updates() {
-                pattern.record(e.time, e.volume);
-            }
-            bytes = guard.ciphertext_bytes();
-        }
-        AdversaryView::from_parts(pattern, Vec::new(), bytes)
-    }
-}
-
-/// A shareable handle to server storage (the analyst and the experiment
-/// harness hold clones; the engine holds another).
-pub type SharedServerStorage = Arc<ServerStorage>;
-
-/// Creates a new shared server storage handle (in-memory backend).
-pub fn shared_storage() -> SharedServerStorage {
-    Arc::new(ServerStorage::new())
 }
 
 #[cfg(test)]
@@ -331,8 +295,6 @@ mod tests {
         assert_eq!(s.ciphertext_count("yellow"), 124);
         assert_eq!(s.ciphertext_count("green"), 2);
         assert_eq!(s.ciphertext_count("missing"), 0);
-        assert_eq!(s.total_ciphertexts(), 126);
-        assert_eq!(s.total_bytes(), 126 * 95);
         let view = s.adversary_view();
         let pattern = view.update_pattern();
         assert_eq!(pattern.len(), 3);
@@ -352,18 +314,6 @@ mod tests {
         // Sorted by (time, table): green@0, yellow@0, green@30, yellow@30.
         assert_eq!(view.update_pattern().times(), vec![0, 0, 30, 30]);
         assert_eq!(view.update_pattern().volumes(), vec![5, 3, 1, 2]);
-    }
-
-    #[test]
-    fn table_view_restricts_to_one_shard() {
-        let s = ServerStorage::new();
-        ingest(&s, "yellow", 0, vec![ct(10); 3]);
-        ingest(&s, "green", 5, vec![ct(10); 2]);
-        let yellow = s.table_view("yellow");
-        assert_eq!(yellow.update_pattern().times(), vec![0]);
-        assert_eq!(yellow.update_pattern().total_volume(), 3);
-        assert_eq!(yellow.total_ciphertext_bytes(), 30);
-        assert!(s.table_view("missing").update_pattern().is_empty());
     }
 
     #[test]
@@ -418,9 +368,10 @@ mod tests {
 
     #[test]
     fn concurrent_ingest_to_disjoint_tables_merges_cleanly() {
-        let shared = shared_storage();
+        let shared = Arc::new(ServerStorage::new());
+        let tables = ["yellow", "green", "blue", "red"];
         thread::scope(|scope| {
-            for table in ["yellow", "green", "blue", "red"] {
+            for table in tables {
                 let storage = Arc::clone(&shared);
                 scope.spawn(move || {
                     for t in 0..100u64 {
@@ -429,22 +380,14 @@ mod tests {
                 });
             }
         });
-        assert_eq!(shared.total_ciphertexts(), 4 * 100 * 2);
+        let stored: u64 = tables.iter().map(|t| shared.ciphertext_count(t)).sum();
+        assert_eq!(stored, 4 * 100 * 2);
         let view = shared.adversary_view();
         assert_eq!(view.update_pattern().len(), 400);
         // Canonical order: times ascending, ties broken by table name.
         let times = view.update_pattern().times();
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(view.total_ciphertext_bytes(), 8000);
-    }
-
-    #[test]
-    fn shared_storage_allows_concurrent_reads() {
-        let shared = shared_storage();
-        shared.ingest("t", 0, &[ct(5)]).unwrap();
-        let a = Arc::clone(&shared);
-        let b = Arc::clone(&shared);
-        assert_eq!(a.total_ciphertexts(), b.total_ciphertexts());
     }
 
     #[test]

@@ -193,6 +193,11 @@ pub trait SecureOutsourcedDatabase: Send + Sync {
     fn query(&self, query: &Query, rng: &mut dyn RngCore) -> Result<QueryOutcome, EdbError>;
 
     /// Whether the engine supports this query shape.
+    ///
+    /// The answer depends on the query's shape alone, never on data or
+    /// engine state, so callers may ask once per query and remember it (the
+    /// analyst does).  Both engines decide it that way: ObliDB supports every
+    /// shape, Crypt-ε refuses joins and selections.
     fn supports(&self, query: &Query) -> bool;
 
     /// Size statistics for `table` (zeroes when the table does not exist).

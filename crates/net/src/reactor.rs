@@ -51,6 +51,7 @@ use crate::server::{
 };
 use crate::wire::{EntropyDraw, Request, Response, SessionRequest};
 use dpsync_edb::emm::IndexDef;
+use dpsync_edb::sogdb::{EdbError, QueryOutcome, SecureOutsourcedDatabase};
 use dpsync_edb::views::ViewDef;
 use mio::net::{TcpListener, TcpStream};
 use mio::{Events, Interest, Poll, Token, Waker};
@@ -334,13 +335,20 @@ impl RngCore for EntropyProxy<'_> {
 /// Runs one engine call.  `None` means the connection must be dropped
 /// without a response (the entropy stream died mid-query).
 fn run_request(
-    engine: &dyn dpsync_edb::sogdb::SecureOutsourcedDatabase,
+    engine: &dyn SecureOutsourcedDatabase,
     request: Request,
     bridge: &EntropyBridge,
     sink: &CompletionSink,
     conn: usize,
     session: u32,
 ) -> Option<Response> {
+    let proxy = EntropyProxy {
+        bridge,
+        sink,
+        conn,
+        session,
+        failed: false,
+    };
     Some(match request {
         // Hellos become `WorkItem::Open` and unsolicited entropy replies
         // are rejected at dispatch; both arms are defensive.
@@ -350,92 +358,55 @@ fn run_request(
             table,
             schema,
             records,
-        } => match engine.setup(&table, schema, records) {
-            Ok(()) => Response::Ok,
-            Err(e) => Response::Edb(e),
-        },
+        } => acknowledged(engine.setup(&table, schema, records)),
         Request::Update {
             table,
             time,
             records,
-        } => match engine.update(&table, time, records) {
-            Ok(()) => Response::Ok,
-            Err(e) => Response::Edb(e),
-        },
-        Request::Query(query) => {
-            let mut proxy = EntropyProxy {
-                bridge,
-                sink,
-                conn,
-                session,
-                failed: false,
-            };
-            let result = engine.query(&query, &mut proxy);
-            if proxy.failed {
-                // The client vanished mid-query; the result was computed
-                // from a dead RNG stream and must not be released.
-                return None;
-            }
-            match result {
-                Ok(outcome) => Response::Outcome(outcome),
-                Err(e) => Response::Edb(e),
-            }
-        }
+        } => acknowledged(engine.update(&table, time, records)),
+        Request::Query(query) => return released(proxy, |rng| engine.query(&query, rng)),
         Request::Supports(query) => Response::Supported(engine.supports(&query)),
         Request::TableStats(table) => Response::Stats(engine.table_stats(&table)),
         Request::AdversaryView => Response::View(engine.adversary_view()),
         Request::RegisterView { name, query } => {
-            match ViewDef::new(name, query).and_then(|def| engine.register_view(&def)) {
-                Ok(()) => Response::Ok,
-                Err(e) => Response::Edb(e),
-            }
+            acknowledged(ViewDef::new(name, query).and_then(|def| engine.register_view(&def)))
         }
-        Request::QueryView(name) => {
-            let mut proxy = EntropyProxy {
-                bridge,
-                sink,
-                conn,
-                session,
-                failed: false,
-            };
-            let result = engine.query_view(&name, &mut proxy);
-            if proxy.failed {
-                // Same discipline as `Π_Query`: a result computed from a
-                // dead RNG stream must not be released.
-                return None;
-            }
-            match result {
-                Ok(outcome) => Response::Outcome(outcome),
-                Err(e) => Response::Edb(e),
-            }
-        }
+        Request::QueryView(name) => return released(proxy, |rng| engine.query_view(&name, rng)),
         Request::RegisterIndex {
             name,
             table,
             column,
-        } => match IndexDef::new(name, table, column).and_then(|def| engine.register_index(&def)) {
-            Ok(()) => Response::Ok,
-            Err(e) => Response::Edb(e),
-        },
+        } => acknowledged(
+            IndexDef::new(name, table, column).and_then(|def| engine.register_index(&def)),
+        ),
         Request::QueryIndexed { name, query } => {
-            let mut proxy = EntropyProxy {
-                bridge,
-                sink,
-                conn,
-                session,
-                failed: false,
-            };
-            let result = engine.query_indexed(&name, &query, &mut proxy);
-            if proxy.failed {
-                // Same discipline as `Π_Query`: a result computed from a
-                // dead RNG stream must not be released.
-                return None;
-            }
-            match result {
-                Ok(outcome) => Response::Outcome(outcome),
-                Err(e) => Response::Edb(e),
-            }
+            return released(proxy, |rng| engine.query_indexed(&name, &query, rng))
         }
+    })
+}
+
+/// The response to a call that returns nothing on success.
+fn acknowledged(result: Result<(), EdbError>) -> Response {
+    match result {
+        Ok(()) => Response::Ok,
+        Err(e) => Response::Edb(e),
+    }
+}
+
+/// Runs one read with its noise drawn through `proxy`.  `None` when the
+/// client vanished mid-query: the result was computed from a dead RNG
+/// stream and must not be released.
+fn released(
+    mut proxy: EntropyProxy<'_>,
+    read: impl FnOnce(&mut dyn RngCore) -> Result<QueryOutcome, EdbError>,
+) -> Option<Response> {
+    let result = read(&mut proxy);
+    if proxy.failed {
+        return None;
+    }
+    Some(match result {
+        Ok(outcome) => Response::Outcome(outcome),
+        Err(e) => Response::Edb(e),
     })
 }
 

@@ -6,7 +6,7 @@
 //! This facade crate re-exports the workspace member crates so downstream users
 //! can depend on a single crate:
 //!
-//! * [`dp`] — differential-privacy primitives (Laplace mechanism, sparse vector
+//! * [`dp`] — differential-privacy primitives (Laplace sampler, sparse vector
 //!   technique, composition, tail bounds).
 //! * [`crypto`] — the cryptographic substrate (ChaCha20 stream cipher, PRF,
 //!   record encryption with dummy indistinguishability).

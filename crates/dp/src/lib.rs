@@ -23,7 +23,6 @@
 
 pub mod bounds;
 pub mod composition;
-pub mod continual;
 pub mod laplace;
 pub mod rng;
 pub mod svt;
@@ -33,7 +32,6 @@ pub use bounds::{
     timer_logical_gap_bound, timer_outsourced_bound,
 };
 pub use composition::{Composition, PrivacyAccountant, PrivacyBudget};
-pub use continual::TreeCounter;
 pub use laplace::Laplace;
 pub use rng::DpRng;
 pub use svt::{AboveNoisyThreshold, SvtOutcome};
@@ -96,29 +94,6 @@ impl std::fmt::Display for Epsilon {
     }
 }
 
-/// The L1 sensitivity of a numeric query.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, serde::Serialize, serde::Deserialize)]
-pub struct Sensitivity(f64);
-
-impl Sensitivity {
-    /// Creates a sensitivity, returning `None` for non-positive or non-finite values.
-    pub fn new(value: f64) -> Option<Self> {
-        if value.is_finite() && value > 0.0 {
-            Some(Self(value))
-        } else {
-            None
-        }
-    }
-
-    /// Sensitivity 1 — the sensitivity of every counting query in the paper.
-    pub const ONE: Sensitivity = Sensitivity(1.0);
-
-    /// The raw value.
-    pub fn value(self) -> f64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,18 +118,6 @@ mod tests {
     fn epsilon_group_scales_up() {
         let eps = Epsilon::new_unchecked(0.5);
         assert_eq!(eps.group(3).value(), 1.5);
-    }
-
-    #[test]
-    fn sensitivity_one_is_one() {
-        assert_eq!(Sensitivity::ONE.value(), 1.0);
-    }
-
-    #[test]
-    fn sensitivity_rejects_invalid() {
-        assert!(Sensitivity::new(0.0).is_none());
-        assert!(Sensitivity::new(f64::NEG_INFINITY).is_none());
-        assert!(Sensitivity::new(2.0).is_some());
     }
 
     #[test]

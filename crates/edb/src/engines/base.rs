@@ -1,6 +1,12 @@
-//! Shared plumbing for the simulated engines.
+//! The one engine type, [`Engine<R>`], shared by both simulated engines.
 //!
-//! Both engines follow the same storage discipline:
+//! An engine is this type plus a [`ReleaseRule`]: the rule decides how the
+//! exact answer of a `Π_Query` read is released (and which query shapes can
+//! be), everything else is common.  ObliDB ([`crate::engines::oblidb`]) and
+//! Crypt-ε ([`crate::engines::crypte`]) each supply a rule and their
+//! constructors; this module holds the one `SecureOutsourcedDatabase` impl.
+//!
+//! Every engine follows the same storage discipline:
 //!
 //! 1. Every `Π_Setup` / `Π_Update` batch is stored as ciphertext on the
 //!    [`ServerStorage`] (this is what the adversary sees and what the size
@@ -10,39 +16,67 @@
 //!    `is_dummy` flag appended, so queries can be executed with the
 //!    dummy-aware rewriting of Appendix B.
 //!
-//! They also share one read step, `EngineCore::read`, that every `Π_Query`
-//! path of both engines runs.  The engines differ only in leakage, cost
-//! model, the release rule they hand that step and query support, which live
-//! in their own modules.
+//! Every `Π_Query` path (scan, view, index) runs one read step,
+//! `Engine::read`, which hands the exact answer to the rule.
 //!
 //! # Concurrency
 //!
-//! [`EngineCore`] is sharded the same way the server storage is: the
-//! decrypted mirror of each table sits behind its own `RwLock`, and the table
-//! map is only write-locked at `Π_Setup` time.  `ingest` therefore takes
-//! `&self` and serializes only with other operations on the *same* table, so
-//! one owner per table can run `Π_Update` concurrently (the paper's
-//! multi-table workload: "yellow" + "green").  Queries take read locks on the
-//! tables they touch, mirroring an enclave that scans a stable snapshot.
+//! [`Engine`] is sharded the same way the server storage is: the decrypted
+//! mirror of each table sits behind its own `RwLock`, and the table map is
+//! only write-locked at `Π_Setup` time.  `update` therefore takes `&self` and
+//! serializes only with other operations on the *same* table, so one owner
+//! per table can run `Π_Update` concurrently (the paper's multi-table
+//! workload: "yellow" + "green").  Queries take read locks on the tables
+//! they touch, mirroring an enclave that scans a stable snapshot.
 
-use crate::backend::{StorageBackend, StorageError};
 use crate::cost::CostModel;
 use crate::emm::{EncryptedMultimap, IndexDef};
 use crate::exec::{self, ExecError};
+use crate::leakage::LeakageProfile;
 use crate::query::{Query, QueryAnswer};
 use crate::rewrite;
 use crate::row::Row;
 use crate::schema::{Schema, Value};
-use crate::server::{QueryObservation, ServerStorage};
-use crate::sogdb::{EdbError, QueryOutcome, TableStats};
+use crate::server::{AdversaryView, QueryObservation, ServerStorage};
+use crate::sogdb::{EdbError, QueryOutcome, SecureOutsourcedDatabase, TableStats};
 use crate::views::{MaterializedView, ViewDef};
 use dpsync_crypto::{EncryptedRecord, KeyPurpose, MasterKey, Prf, RecordCryptor};
 use parking_lot::RwLock;
+use rand::RngCore;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// How an engine releases the exact answer of a `Π_Query` read: the one
+/// thing that separates the two engines.
+///
+/// Sealed: ObliDB's [`Oblivious`](crate::engines::oblidb::Oblivious) and
+/// Crypt-ε's [`NoisyRelease`](crate::engines::crypte::NoisyRelease) are its
+/// only implementations.
+pub trait ReleaseRule: sealed::Sealed + Send + Sync {
+    /// The engine's short name ("oblidb", "crypt-epsilon").
+    const NAME: &'static str;
+
+    /// The engine's leakage profile (§6).
+    const PROFILE: LeakageProfile;
+
+    /// Whether the engine can release `query`.  Decided from the query's
+    /// shape alone, so callers may ask once per query and remember it.
+    fn supports(query: &Query) -> bool;
+
+    /// Releases `exact`: returns the answer the analyst receives and the
+    /// response volume the server observes (`None` when it observes none).
+    /// Any noise is drawn from the caller's `rng`.
+    fn release(&self, exact: QueryAnswer, rng: &mut dyn RngCore) -> (QueryAnswer, Option<u64>);
+}
+
+pub(super) mod sealed {
+    /// The supertrait that keeps [`super::ReleaseRule`] closed to the rules
+    /// of the `engines` module.
+    pub trait Sealed {}
+}
 
 /// One decrypted table held inside the trusted boundary of the engine.
 #[derive(Debug, Clone)]
@@ -62,11 +96,11 @@ pub struct EngineTable {
     /// true`), precomputed once at `Π_Setup` and cloned per ingested dummy.
     pub dummy_row: Row,
     /// Materialized views registered over this table, maintained
-    /// incrementally by `ingest` under the same per-table lock (so a view
+    /// incrementally by `update` under the same per-table lock (so a view
     /// answer can never be observed out of sync with the mirror).
     pub views: BTreeMap<String, MaterializedView>,
     /// Encrypted multimap indexes registered over this table, maintained by
-    /// `ingest` under the same per-table lock and with the same one-step-per-
+    /// `update` under the same per-table lock and with the same one-step-per-
     /// record discipline as the views (dummies file under the dummy label).
     pub indexes: BTreeMap<String, EncryptedMultimap>,
 }
@@ -76,7 +110,7 @@ type TableHandle = Arc<RwLock<EngineTable>>;
 
 /// Where one `Π_Query` read fetches its exact answer.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum ReadPath<'a> {
+enum ReadPath<'a> {
     /// A full scan of the decrypted mirror.
     Scan(&'a Query),
     /// The registered view of this name.
@@ -85,12 +119,13 @@ pub(crate) enum ReadPath<'a> {
     Index(&'a str, &'a Query),
 }
 
-/// Shared engine state: ciphertext storage plus the decrypted mirror.
+/// An encrypted-database engine: ciphertext storage, the decrypted mirror,
+/// the view and index registries, a cost model and the release rule `R`.
 ///
 /// All methods take `&self`; per-table state lives behind per-table locks so
 /// concurrent `Π_Update` calls on distinct tables never contend.
 #[derive(Debug)]
-pub struct EngineCore {
+pub struct Engine<R> {
     cryptor: RecordCryptor,
     storage: ServerStorage,
     tables: RwLock<BTreeMap<String, TableHandle>>,
@@ -107,51 +142,42 @@ pub struct EngineCore {
     /// own PRF from this root so labels never collide across indexes.
     index_prf: Prf,
     query_sequence: AtomicU64,
+    cost: CostModel,
+    pub(super) rule: R,
 }
 
-impl EngineCore {
-    /// Creates the core with the owner's master key (the engine needs the key
-    /// material inside its trusted boundary to process queries), storing
-    /// ciphertexts in memory.
-    pub fn new(master: &MasterKey) -> Self {
+impl<R: ReleaseRule> Engine<R> {
+    /// The one constructor behind every engine's public ones: the owner's
+    /// master key (the engine needs the key material inside its trusted
+    /// boundary to process queries), the ciphertext storage, the cost model
+    /// and the release rule.
+    ///
+    /// Tables that `storage` recovered from a durable backend keep their
+    /// transcript but get no *decrypted mirror* (schemas are not persisted),
+    /// so they cannot be queried or appended to through this engine; serve
+    /// them via [`ServerStorage`] until a schema-aware reopen path exists.
+    pub(super) fn over(
+        master: &MasterKey,
+        storage: ServerStorage,
+        cost: CostModel,
+        rule: R,
+    ) -> Self {
         Self {
             cryptor: RecordCryptor::new(master),
-            storage: ServerStorage::new(),
+            storage,
             tables: RwLock::new(BTreeMap::new()),
             view_index: RwLock::new(BTreeMap::new()),
             index_registry: RwLock::new(BTreeMap::new()),
             index_prf: Prf::new(*master.derive(KeyPurpose::IndexToken).bytes()),
             query_sequence: AtomicU64::new(0),
+            cost,
+            rule,
         }
     }
 
-    /// Creates the core over an explicit storage backend.
-    ///
-    /// Tables already present on a durable backend's medium are recovered
-    /// into the server storage (their transcript becomes visible through
-    /// [`EngineCore::storage`] immediately), but they have no *decrypted
-    /// mirror* — schemas are not persisted by the storage layer — so
-    /// recovered tables cannot be queried or appended to through this
-    /// engine; [`EngineCore::setup`] refuses them rather than corrupt the
-    /// recovered log.  Serve them via [`crate::server::ServerStorage`]
-    /// until a schema-aware reopen path exists.
-    pub fn with_backend(
-        master: &MasterKey,
-        backend: Arc<dyn StorageBackend>,
-    ) -> Result<Self, StorageError> {
-        Ok(Self {
-            cryptor: RecordCryptor::new(master),
-            storage: ServerStorage::with_backend(backend)?,
-            tables: RwLock::new(BTreeMap::new()),
-            view_index: RwLock::new(BTreeMap::new()),
-            index_registry: RwLock::new(BTreeMap::new()),
-            index_prf: Prf::new(*master.derive(KeyPurpose::IndexToken).bytes()),
-            query_sequence: AtomicU64::new(0),
-        })
-    }
-
     /// Whether `table` has been set up.
-    pub fn has_table(&self, table: &str) -> bool {
+    #[cfg(test)]
+    fn has_table(&self, table: &str) -> bool {
         self.tables.read().contains_key(table)
     }
 
@@ -159,77 +185,20 @@ impl EngineCore {
         self.tables.read().get(table).map(Arc::clone)
     }
 
-    /// `Π_Setup` plumbing: registers the schema and ingests the initial batch
-    /// at time 0.
+    /// The trusted side decrypts and decodes a whole batch before anything
+    /// is stored: a record that fails authentication or row decoding
+    /// rejects the batch before anything is persisted or observed, so a
+    /// failed protocol run leaves no trace in the durable log, the
+    /// transcript, the mirror or the table set.
     ///
-    /// Refuses tables the *storage* already holds, not just tables this
-    /// engine instance set up: on a recovered durable backend, re-running
-    /// `Π_Setup` would append a duplicate time-0 batch to a log that already
-    /// contains the table's full history, corrupting the recovered
-    /// transcript.  (Rebuilding the decrypted mirror from recovered
-    /// ciphertexts needs the schema re-registered through a dedicated reopen
-    /// path — future work; until then, recovered tables are served by
-    /// `ServerStorage` directly.)
-    pub fn setup(
-        &self,
-        table: &str,
-        schema: Schema,
-        records: Vec<EncryptedRecord>,
-    ) -> Result<(), EdbError> {
-        {
-            let mut tables = self.tables.write();
-            if tables.contains_key(table) || self.storage.existing_shard(table).is_some() {
-                return Err(EdbError::AlreadySetUp(table.to_string()));
-            }
-            let extended = rewrite::schema_with_dummy_flag(&schema);
-            let flag_column = extended
-                .column_index(rewrite::IS_DUMMY_COLUMN)
-                .expect("flag column was just appended");
-            let dummy_row = Row::new(rewrite::values_with_dummy_flag(
-                vec![Value::Null; extended.arity() - 1],
-                true,
-            ));
-            tables.insert(
-                table.to_string(),
-                Arc::new(RwLock::new(EngineTable {
-                    schema: extended,
-                    rows: Vec::new(),
-                    real_records: 0,
-                    dummy_records: 0,
-                    flag_column,
-                    dummy_row,
-                    views: BTreeMap::new(),
-                    indexes: BTreeMap::new(),
-                })),
-            );
-        }
-        self.ingest(table, 0, records)
-    }
-
-    /// `Π_Update` plumbing: ingests an encrypted batch at `time`.
-    ///
-    /// Write-locks only `table`'s shard (storage and mirror), so owners of
-    /// other tables proceed concurrently.
-    pub fn ingest(
-        &self,
-        table: &str,
-        time: u64,
-        records: Vec<EncryptedRecord>,
-    ) -> Result<(), EdbError> {
-        let Some(handle) = self.table_handle(table) else {
-            return Err(EdbError::NotSetUp(table.to_string()));
-        };
-        // The trusted side validates the whole batch first: a record that
-        // fails authentication or row decoding rejects the batch before
-        // anything is persisted or observed, so a failed protocol run leaves
-        // no trace in the durable log, the transcript, or the mirror.
-        // Dummies take the fast path (`None`): the padded dummy row was
-        // precomputed per schema at setup, so each dummy ingest is one clone
-        // — no per-record value construction.  (The *ciphertexts* arriving
-        // here are still unique: freshness is enforced at encryption time,
-        // see `dpsync_crypto::PreparedPlaintext`.)
-        let mut decoded: Vec<Option<Row>> = Vec::with_capacity(records.len());
-        for record in &records {
+    /// Dummies take the fast path (`None`): the padded dummy row was
+    /// precomputed per schema at setup, so each dummy ingest is one clone —
+    /// no per-record value construction.  (The *ciphertexts* arriving here
+    /// are still unique: freshness is enforced at encryption time, see
+    /// `dpsync_crypto::PreparedPlaintext`.)
+    fn decode_batch(&self, records: &[EncryptedRecord]) -> Result<Vec<Option<Row>>, EdbError> {
+        let mut decoded = Vec::with_capacity(records.len());
+        for record in records {
             let view = self.cryptor.decrypt_view(record)?;
             if view.is_dummy() {
                 decoded.push(None);
@@ -239,8 +208,22 @@ impl EngineCore {
                 decoded.push(Some(row));
             }
         }
+        Ok(decoded)
+    }
 
-        // Then the server stores (and observes) the ciphertexts; a backend
+    /// Stores a decoded batch at `time` and appends it to `handle`'s mirror.
+    ///
+    /// Write-locks only `table`'s shard (storage and mirror), so owners of
+    /// other tables proceed concurrently.
+    fn append(
+        &self,
+        table: &str,
+        handle: &TableHandle,
+        time: u64,
+        records: &[EncryptedRecord],
+        decoded: Vec<Option<Row>>,
+    ) -> Result<(), EdbError> {
+        // The server stores (and observes) the ciphertexts first; a backend
         // I/O failure still aborts before the mirror is touched, so an
         // unacknowledged batch is visible nowhere.
         let ciphertexts: Vec<_> = records.iter().map(EncryptedRecord::to_bytes).collect();
@@ -286,43 +269,6 @@ impl EngineCore {
         Ok(())
     }
 
-    /// Registers a materialized view over an existing table, backfilling its
-    /// state from the mirror (dummy rows take the no-op path, exactly as
-    /// they would have during live maintenance).
-    ///
-    /// View names are global per engine.  Re-registering an identical
-    /// definition is an idempotent no-op — the analyst helper re-registers
-    /// its hot queries freely — while binding an existing name to a
-    /// different definition is rejected.
-    pub fn register_view(&self, def: &ViewDef) -> Result<(), EdbError> {
-        let Some(handle) = self.table_handle(def.table()) else {
-            return Err(EdbError::NotSetUp(def.table().to_string()));
-        };
-        let mut index = self.view_index.write();
-        if let Some(owner) = index.get(def.name()) {
-            let existing = self
-                .table_handle(owner)
-                .and_then(|h| h.read().views.get(def.name()).map(|v| v.def().clone()));
-            return if existing.as_ref() == Some(def) {
-                Ok(())
-            } else {
-                Err(EdbError::InvalidView(format!(
-                    "view `{}` is already registered with a different definition",
-                    def.name()
-                )))
-            };
-        }
-        let mut guard = handle.write();
-        let entry = &mut *guard;
-        let mut view = MaterializedView::new(def.clone(), &entry.schema)?;
-        for row in &entry.rows {
-            view.apply_mirror_row(&entry.schema, row, entry.flag_column);
-        }
-        entry.views.insert(def.name().to_string(), view);
-        index.insert(def.name().to_string(), def.table().to_string());
-        Ok(())
-    }
-
     /// Reads a registered view: returns the underlying query (for the
     /// engine's cost estimate and query observation), the current answer,
     /// and the touched-record count a full scan would have reported.
@@ -331,7 +277,7 @@ impl EngineCore {
     /// count is the *transcript* value — engines observe a view read exactly
     /// as they would the equivalent scan, so the adversary cannot tell views
     /// are on.
-    pub fn view_read(&self, name: &str) -> Result<(Query, QueryAnswer, u64), EdbError> {
+    fn view_read(&self, name: &str) -> Result<(Query, QueryAnswer, u64), EdbError> {
         let owner = self
             .view_index
             .read()
@@ -353,58 +299,17 @@ impl EngineCore {
         ))
     }
 
-    /// Registers an encrypted multimap index over an existing table,
-    /// backfilling its entries from the mirror (dummy rows file under the
-    /// dummy label, exactly as they would have during live maintenance).
-    ///
-    /// Index names are global per engine, with the same idempotency rule as
-    /// views: re-registering an identical definition is a no-op, binding an
-    /// existing name to a different definition is rejected.
-    pub fn register_index(&self, def: &IndexDef) -> Result<(), EdbError> {
-        let Some(handle) = self.table_handle(def.table()) else {
-            return Err(EdbError::NotSetUp(def.table().to_string()));
-        };
-        let mut registry = self.index_registry.write();
-        if let Some(owner) = registry.get(def.name()) {
-            let existing = self
-                .table_handle(owner)
-                .and_then(|h| h.read().indexes.get(def.name()).map(|i| i.def().clone()));
-            return if existing.as_ref() == Some(def) {
-                Ok(())
-            } else {
-                Err(EdbError::InvalidIndex(format!(
-                    "index `{}` is already registered with a different definition",
-                    def.name()
-                )))
-            };
-        }
-        let mut guard = handle.write();
-        let entry = &mut *guard;
-        let prf = Prf::new(self.index_prf.derive_key(&format!(
-            "emm/{}/{}",
-            def.table(),
-            def.column()
-        )));
-        let mut index = EncryptedMultimap::new(def.clone(), &entry.schema, prf)?;
-        for (position, row) in entry.rows.iter().enumerate() {
-            index.apply_mirror_row(row, entry.flag_column, position as u64);
-        }
-        entry.indexes.insert(def.name().to_string(), index);
-        registry.insert(def.name().to_string(), def.table().to_string());
-        Ok(())
-    }
-
     /// Serves `query` through the registered index `name` instead of a full
     /// scan, returning the answer and the number of index entries fetched
     /// (the response-volume signal an indexed read reveals).
     ///
-    /// The answer is byte-identical to [`EngineCore::execute`] on the same
+    /// The answer is byte-identical to [`Engine::execute`] on the same
     /// query: the index yields a candidate superset of the rows matching its
     /// column's condition (in mirror order), and the full rewritten query is
     /// then executed over exactly those candidates — so residual predicate
     /// conjuncts, grouping, projection, and dummy filtering all behave as in
     /// the scan path.
-    pub fn indexed_read(&self, name: &str, query: &Query) -> Result<(QueryAnswer, u64), EdbError> {
+    fn indexed_read(&self, name: &str, query: &Query) -> Result<(QueryAnswer, u64), EdbError> {
         let owner = self
             .index_registry
             .read()
@@ -550,68 +455,10 @@ impl EngineCore {
         ))
     }
 
-    /// The read step of every `Π_Query` path of both engines.
-    ///
-    /// In this order: fetch the exact answer from `path`; hand it to the
-    /// engine's `release` rule, which returns the released answer and the
-    /// response volume the server observes; stop the clock; bill the read
-    /// under `cost`; take the next sequence number; record the observation.
-    /// A failed fetch returns before `release` runs, so it draws no noise and
-    /// takes no sequence number.
-    ///
-    /// A view read is billed and observed as the scan of its query: same
-    /// estimate (the engine still bills an oblivious pass), same kind, same
-    /// touched count, so the transcript cannot tell that views are on.  Only
-    /// the measured wall clock reflects the O(result size) read.  An indexed
-    /// read is billed by the entries it fetched and observed as kind
-    /// `"index"` with that fetch count: the declared extra leakage of the
-    /// index plan, which the planner only chooses under a policy that allows
-    /// it.
-    pub(crate) fn read(
-        &self,
-        path: ReadPath<'_>,
-        cost: &CostModel,
-        release: impl FnOnce(QueryAnswer) -> (QueryAnswer, Option<u64>),
-    ) -> Result<QueryOutcome, EdbError> {
-        let started = Instant::now();
-        let (query, exact, touched) = match path {
-            ReadPath::Scan(query) => {
-                let (answer, touched) = self.execute(query)?;
-                (Cow::Borrowed(query), answer, touched)
-            }
-            ReadPath::View(name) => {
-                let (query, answer, touched) = self.view_read(name)?;
-                (Cow::Owned(query), answer, touched)
-            }
-            ReadPath::Index(name, query) => {
-                let (answer, touched) = self.indexed_read(name, query)?;
-                (Cow::Borrowed(query), answer, touched)
-            }
-        };
-        let (answer, observed_response_volume) = release(exact);
-        let measured_seconds = started.elapsed().as_secs_f64();
-        let (kind, estimated_seconds) = match path {
-            ReadPath::Index(..) => ("index", cost.count_cost(touched)),
-            ReadPath::Scan(_) | ReadPath::View(_) => (query.kind(), self.estimate(&query, cost)),
-        };
-        let sequence = self.next_query_sequence();
-        self.storage.observe_query(QueryObservation {
-            sequence,
-            kind: kind.to_string(),
-            touched_records: touched,
-            observed_response_volume,
-        });
-        Ok(QueryOutcome {
-            answer,
-            estimated_seconds,
-            measured_seconds,
-            touched_records: touched,
-        })
-    }
-
-    /// The cost of a full scan of `query` under `cost`, from the stored
-    /// ciphertext counts.
-    fn estimate(&self, query: &Query, cost: &CostModel) -> f64 {
+    /// The cost of a full scan of `query` under the engine's cost model,
+    /// from the stored ciphertext counts.
+    fn estimate(&self, query: &Query) -> f64 {
+        let cost = &self.cost;
         match query {
             Query::Count { table, .. } | Query::Select { table, .. } => {
                 cost.count_cost(self.ciphertext_count(table))
@@ -628,7 +475,7 @@ impl EngineCore {
     /// Returns the exact answer plus the number of ciphertexts touched (used
     /// by the cost models and the adversary's transcript).  Takes read locks
     /// on every table the query names, held for the duration of execution.
-    pub fn execute(&self, query: &Query) -> Result<(QueryAnswer, u64), EdbError> {
+    pub(super) fn execute(&self, query: &Query) -> Result<(QueryAnswer, u64), EdbError> {
         let rewritten = rewrite::rewrite_query(query);
         // Resolve handles first (map read lock released immediately), then
         // read-lock the touched tables in name order for a stable snapshot.
@@ -684,12 +531,178 @@ impl EngineCore {
     }
 
     /// Number of ciphertexts stored for `table`.
-    pub fn ciphertext_count(&self, table: &str) -> u64 {
+    fn ciphertext_count(&self, table: &str) -> u64 {
         self.storage.ciphertext_count(table)
     }
 
-    /// Size statistics for `table`.
-    pub fn table_stats(&self, table: &str) -> TableStats {
+    /// Access to the server storage (interior-mutable: recording query
+    /// observations also goes through `&self`).
+    #[cfg(test)]
+    fn storage(&self) -> &ServerStorage {
+        &self.storage
+    }
+
+    /// Returns and increments the query sequence counter.
+    fn next_query_sequence(&self) -> u64 {
+        self.query_sequence.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// A snapshot of the decrypted mirror for `table` (used in white-box
+    /// tests; clones the rows).
+    #[cfg(test)]
+    fn table_snapshot(&self, table: &str) -> Option<EngineTable> {
+        self.table_handle(table).map(|h| h.read().clone())
+    }
+
+    /// The read step of every `Π_Query` path.
+    ///
+    /// In this order: refuse a shape the rule does not support, before
+    /// anything is fetched (a view's query needs no check: views cover count
+    /// shapes only, which every rule supports); fetch the exact answer from
+    /// `path`; hand it to the rule's `release`, which returns the released
+    /// answer and the response volume the server observes; stop the clock;
+    /// bill the read under the cost model; take the next sequence number;
+    /// record the observation.  A refused shape or a failed fetch returns
+    /// before `release` runs, so it draws nothing from `rng` and takes no
+    /// sequence number; the step itself never draws from `rng`.
+    ///
+    /// A view read is billed and observed as the scan of its query: same
+    /// estimate (the engine still bills an oblivious pass), same kind, same
+    /// touched count, so the transcript cannot tell that views are on.  Only
+    /// the measured wall clock reflects the O(result size) read.  An indexed
+    /// read is billed by the entries it fetched and observed as kind
+    /// `"index"` with that fetch count: the declared extra leakage of the
+    /// index plan, which the planner only chooses under a policy that allows
+    /// it.
+    fn read(&self, path: ReadPath<'_>, rng: &mut dyn RngCore) -> Result<QueryOutcome, EdbError> {
+        if let ReadPath::Scan(query) | ReadPath::Index(_, query) = path {
+            if !R::supports(query) {
+                return Err(EdbError::UnsupportedQuery {
+                    engine: R::NAME,
+                    kind: query.kind(),
+                });
+            }
+        }
+        let started = Instant::now();
+        let (query, exact, touched) = match path {
+            ReadPath::Scan(query) => {
+                let (answer, touched) = self.execute(query)?;
+                (Cow::Borrowed(query), answer, touched)
+            }
+            ReadPath::View(name) => {
+                let (query, answer, touched) = self.view_read(name)?;
+                (Cow::Owned(query), answer, touched)
+            }
+            ReadPath::Index(name, query) => {
+                let (answer, touched) = self.indexed_read(name, query)?;
+                (Cow::Borrowed(query), answer, touched)
+            }
+        };
+        let (answer, observed_response_volume) = self.rule.release(exact, rng);
+        let measured_seconds = started.elapsed().as_secs_f64();
+        let (kind, estimated_seconds) = match path {
+            ReadPath::Index(..) => ("index", self.cost.count_cost(touched)),
+            ReadPath::Scan(_) | ReadPath::View(_) => (query.kind(), self.estimate(&query)),
+        };
+        let sequence = self.next_query_sequence();
+        self.storage.observe_query(QueryObservation {
+            sequence,
+            kind: kind.to_string(),
+            touched_records: touched,
+            observed_response_volume,
+        });
+        Ok(QueryOutcome {
+            answer,
+            estimated_seconds,
+            measured_seconds,
+            touched_records: touched,
+        })
+    }
+}
+
+impl<R: ReleaseRule> SecureOutsourcedDatabase for Engine<R> {
+    fn name(&self) -> &'static str {
+        R::NAME
+    }
+
+    fn leakage_profile(&self) -> LeakageProfile {
+        R::PROFILE
+    }
+
+    fn cost_model(&self) -> CostModel {
+        self.cost
+    }
+
+    /// Registers the schema and ingests the initial batch at time 0.
+    ///
+    /// The batch is validated before the table exists, so a rejected setup
+    /// leaves no table behind and may be retried; a backend failure after
+    /// that unregisters the table again.  Refuses tables the *storage*
+    /// already holds, not just tables this engine set up: on a recovered
+    /// durable backend, re-running `Π_Setup` would append a duplicate
+    /// time-0 batch to a log that already contains the table's full history
+    /// (recovered tables have no mirror, see `Engine::over`).
+    fn setup(
+        &self,
+        table: &str,
+        schema: Schema,
+        records: Vec<EncryptedRecord>,
+    ) -> Result<(), EdbError> {
+        let decoded = self.decode_batch(&records)?;
+        let handle = {
+            let mut tables = self.tables.write();
+            if tables.contains_key(table) || self.storage.existing_shard(table).is_some() {
+                return Err(EdbError::AlreadySetUp(table.to_string()));
+            }
+            let extended = rewrite::schema_with_dummy_flag(&schema);
+            let flag_column = extended
+                .column_index(rewrite::IS_DUMMY_COLUMN)
+                .expect("flag column was just appended");
+            let dummy_row = Row::new(rewrite::values_with_dummy_flag(
+                vec![Value::Null; extended.arity() - 1],
+                true,
+            ));
+            let handle = Arc::new(RwLock::new(EngineTable {
+                schema: extended,
+                rows: Vec::new(),
+                real_records: 0,
+                dummy_records: 0,
+                flag_column,
+                dummy_row,
+                views: BTreeMap::new(),
+                indexes: BTreeMap::new(),
+            }));
+            tables.insert(table.to_string(), Arc::clone(&handle));
+            handle
+        };
+        self.append(table, &handle, 0, &records, decoded)
+            .inspect_err(|_| {
+                self.tables.write().remove(table);
+            })
+    }
+
+    fn update(
+        &self,
+        table: &str,
+        time: u64,
+        records: Vec<EncryptedRecord>,
+    ) -> Result<(), EdbError> {
+        let Some(handle) = self.table_handle(table) else {
+            return Err(EdbError::NotSetUp(table.to_string()));
+        };
+        let decoded = self.decode_batch(&records)?;
+        self.append(table, &handle, time, &records, decoded)
+    }
+
+    fn query(&self, query: &Query, rng: &mut dyn RngCore) -> Result<QueryOutcome, EdbError> {
+        self.read(ReadPath::Scan(query), rng)
+    }
+
+    fn supports(&self, query: &Query) -> bool {
+        R::supports(query)
+    }
+
+    fn table_stats(&self, table: &str) -> TableStats {
         let (real, dummy) = self
             .table_handle(table)
             .map(|h| {
@@ -705,21 +718,99 @@ impl EngineCore {
         }
     }
 
-    /// Access to the server storage (interior-mutable: recording query
-    /// observations also goes through `&self`).
-    pub fn storage(&self) -> &ServerStorage {
-        &self.storage
+    fn adversary_view(&self) -> AdversaryView {
+        self.storage.adversary_view()
     }
 
-    /// Returns and increments the query sequence counter.
-    pub fn next_query_sequence(&self) -> u64 {
-        self.query_sequence.fetch_add(1, Ordering::Relaxed)
+    /// Backfills the view's state from the mirror (dummy rows take the
+    /// no-op path, exactly as they would have during live maintenance).
+    ///
+    /// Registration is bookkeeping inside the trusted boundary: nothing is
+    /// observed by the server.  View names are global per engine.
+    /// Re-registering an identical definition is an idempotent no-op — the
+    /// analyst helper re-registers its hot queries freely — while binding an
+    /// existing name to a different definition is rejected.
+    fn register_view(&self, def: &ViewDef) -> Result<(), EdbError> {
+        let Some(handle) = self.table_handle(def.table()) else {
+            return Err(EdbError::NotSetUp(def.table().to_string()));
+        };
+        let mut index = self.view_index.write();
+        if let Some(owner) = index.get(def.name()) {
+            let existing = self
+                .table_handle(owner)
+                .and_then(|h| h.read().views.get(def.name()).map(|v| v.def().clone()));
+            return if existing.as_ref() == Some(def) {
+                Ok(())
+            } else {
+                Err(EdbError::InvalidView(format!(
+                    "view `{}` is already registered with a different definition",
+                    def.name()
+                )))
+            };
+        }
+        let mut guard = handle.write();
+        let entry = &mut *guard;
+        let mut view = MaterializedView::new(def.clone(), &entry.schema)?;
+        for row in &entry.rows {
+            view.apply_mirror_row(&entry.schema, row, entry.flag_column);
+        }
+        entry.views.insert(def.name().to_string(), view);
+        index.insert(def.name().to_string(), def.table().to_string());
+        Ok(())
     }
 
-    /// A snapshot of the decrypted mirror for `table` (used in white-box
-    /// tests; clones the rows).
-    pub fn table_snapshot(&self, table: &str) -> Option<EngineTable> {
-        self.table_handle(table).map(|h| h.read().clone())
+    fn query_view(&self, name: &str, rng: &mut dyn RngCore) -> Result<QueryOutcome, EdbError> {
+        self.read(ReadPath::View(name), rng)
+    }
+
+    /// Backfills the index's entries from the mirror (dummy rows file under
+    /// the dummy label, exactly as during live maintenance).
+    ///
+    /// Like view registration, this is trusted-boundary bookkeeping, and
+    /// maintenance inserts one entry per padded record, so the server
+    /// observes nothing beyond the Definition-2 update pattern.  Index names
+    /// are global per engine, with the same idempotency rule as views.
+    fn register_index(&self, def: &IndexDef) -> Result<(), EdbError> {
+        let Some(handle) = self.table_handle(def.table()) else {
+            return Err(EdbError::NotSetUp(def.table().to_string()));
+        };
+        let mut registry = self.index_registry.write();
+        if let Some(owner) = registry.get(def.name()) {
+            let existing = self
+                .table_handle(owner)
+                .and_then(|h| h.read().indexes.get(def.name()).map(|i| i.def().clone()));
+            return if existing.as_ref() == Some(def) {
+                Ok(())
+            } else {
+                Err(EdbError::InvalidIndex(format!(
+                    "index `{}` is already registered with a different definition",
+                    def.name()
+                )))
+            };
+        }
+        let mut guard = handle.write();
+        let entry = &mut *guard;
+        let prf = Prf::new(self.index_prf.derive_key(&format!(
+            "emm/{}/{}",
+            def.table(),
+            def.column()
+        )));
+        let mut index = EncryptedMultimap::new(def.clone(), &entry.schema, prf)?;
+        for (position, row) in entry.rows.iter().enumerate() {
+            index.apply_mirror_row(row, entry.flag_column, position as u64);
+        }
+        entry.indexes.insert(def.name().to_string(), index);
+        registry.insert(def.name().to_string(), def.table().to_string());
+        Ok(())
+    }
+
+    fn query_indexed(
+        &self,
+        name: &str,
+        query: &Query,
+        rng: &mut dyn RngCore,
+    ) -> Result<QueryOutcome, EdbError> {
+        self.read(ReadPath::Index(name, query), rng)
     }
 }
 
@@ -745,8 +836,11 @@ pub fn encrypt_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engines::ObliDbEngine;
     use crate::query::{paper_queries, Predicate};
     use crate::schema::DataType;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use std::thread;
 
     fn schema() -> Schema {
@@ -760,10 +854,10 @@ mod tests {
         Row::new(vec![Value::Timestamp(t), Value::Int(p)])
     }
 
-    fn core_with_data() -> (EngineCore, RecordCryptor) {
+    fn core_with_data() -> (ObliDbEngine, RecordCryptor) {
         let master = MasterKey::from_bytes([9u8; 32]);
         let mut owner_cryptor = RecordCryptor::new(&master);
-        let core = EngineCore::new(&master);
+        let core = ObliDbEngine::new(&master);
         let initial = encrypt_batch(&mut owner_cryptor, &[row(1, 60), row(2, 80)], 3);
         core.setup("yellow", schema(), initial).unwrap();
         (core, owner_cryptor)
@@ -773,7 +867,7 @@ mod tests {
     fn setup_then_update_accumulates_rows_and_ciphertexts() {
         let (core, mut cryptor) = core_with_data();
         let batch = encrypt_batch(&mut cryptor, &[row(3, 90)], 1);
-        core.ingest("yellow", 30, batch).unwrap();
+        core.update("yellow", 30, batch).unwrap();
         let stats = core.table_stats("yellow");
         assert_eq!(stats.ciphertext_count, 7);
         assert_eq!(stats.real_records, 3);
@@ -802,7 +896,7 @@ mod tests {
     fn join_execution_filters_both_sides() {
         let master = MasterKey::from_bytes([9u8; 32]);
         let mut cryptor = RecordCryptor::new(&master);
-        let core = EngineCore::new(&master);
+        let core = ObliDbEngine::new(&master);
         core.setup(
             "yellow",
             schema(),
@@ -833,7 +927,7 @@ mod tests {
         // the answer the pure real-row join count.
         let master = MasterKey::from_bytes([9u8; 32]);
         let mut cryptor = RecordCryptor::new(&master);
-        let core = EngineCore::new(&master);
+        let core = ObliDbEngine::new(&master);
         core.setup(
             "yellow",
             schema(),
@@ -858,7 +952,7 @@ mod tests {
     #[test]
     fn concurrent_ingest_to_distinct_tables() {
         let master = MasterKey::from_bytes([3u8; 32]);
-        let core = EngineCore::new(&master);
+        let core = ObliDbEngine::new(&master);
         {
             let mut cryptor = RecordCryptor::with_sequence(&master, 1 << 40);
             core.setup("yellow", schema(), encrypt_batch(&mut cryptor, &[], 0))
@@ -875,7 +969,7 @@ mod tests {
                     let mut cryptor = RecordCryptor::with_sequence(master, ((i as u64) + 10) << 40);
                     for t in 1..=50u64 {
                         let batch = encrypt_batch(&mut cryptor, &[row(t, t as i64)], 1);
-                        core.ingest(table, t, batch).unwrap();
+                        core.update(table, t, batch).unwrap();
                     }
                 });
             }
@@ -899,7 +993,7 @@ mod tests {
         ));
         let batch = encrypt_batch(&mut cryptor, &[row(9, 9)], 0);
         assert!(matches!(
-            core.ingest("green", 10, batch),
+            core.update("green", 10, batch),
             Err(EdbError::NotSetUp(_))
         ));
         assert!(core.has_table("yellow"));
@@ -911,10 +1005,59 @@ mod tests {
         let master = MasterKey::from_bytes([9u8; 32]);
         let other = MasterKey::from_bytes([1u8; 32]);
         let mut wrong_cryptor = RecordCryptor::new(&other);
-        let core = EngineCore::new(&master);
+        let core = ObliDbEngine::new(&master);
         let batch = encrypt_batch(&mut wrong_cryptor, &[row(1, 1)], 0);
         let err = core.setup("yellow", schema(), batch).unwrap_err();
         assert!(matches!(err, EdbError::Crypto(_)));
+    }
+
+    #[test]
+    fn rejected_setup_leaves_no_table_behind() {
+        // `Π_Setup` validates its batch before the table exists: a setup
+        // rejected for a wrong-key or a corrupt record leaves no mirror, no
+        // queryable table and no transcript event, so a later `Π_Update`
+        // cannot land in a table that was never set up, and a retried setup
+        // succeeds as the table's first event.
+        let master = MasterKey::from_bytes([9u8; 32]);
+        let mut cryptor = RecordCryptor::new(&master);
+        let mut wrong_cryptor = RecordCryptor::new(&MasterKey::from_bytes([1u8; 32]));
+        let core = ObliDbEngine::new(&master);
+        let q1 = paper_queries::q1_range_count("yellow");
+        let view_before = core.adversary_view();
+        let assert_no_table = |core: &ObliDbEngine| {
+            assert!(core.table_snapshot("yellow").is_none());
+            let mut rng = StdRng::seed_from_u64(1);
+            assert!(matches!(
+                core.query(&q1, &mut rng),
+                Err(EdbError::Exec(ExecError::UnknownTable(_)))
+            ));
+            assert_eq!(core.adversary_view(), view_before);
+        };
+
+        let wrong_key = encrypt_batch(&mut wrong_cryptor, &[row(1, 60)], 1);
+        let err = core.setup("yellow", schema(), wrong_key).unwrap_err();
+        assert!(matches!(err, EdbError::Crypto(_)));
+        assert_no_table(&core);
+
+        let mut corrupt = encrypt_batch(&mut cryptor, &[row(1, 60)], 1);
+        // A real record whose payload announces three values and holds none.
+        corrupt.push(cryptor.encrypt_payload(&[3]).unwrap());
+        let err = core.setup("yellow", schema(), corrupt).unwrap_err();
+        assert!(matches!(err, EdbError::CorruptRow(_)));
+        assert_no_table(&core);
+
+        let good = encrypt_batch(&mut cryptor, &[row(1, 60), row(2, 80)], 3);
+        core.setup("yellow", schema(), good).unwrap();
+        let batch = encrypt_batch(&mut cryptor, &[row(3, 90)], 0);
+        core.update("yellow", 5, batch).unwrap();
+        let view = core.adversary_view();
+        assert_eq!(view.update_pattern().times(), vec![0, 5]);
+        assert_eq!(view.update_pattern().volumes(), vec![5, 1]);
+        let mut rng = StdRng::seed_from_u64(1);
+        assert_eq!(
+            core.query(&q1, &mut rng).unwrap().answer,
+            QueryAnswer::Scalar(3.0)
+        );
     }
 
     #[test]
@@ -933,7 +1076,7 @@ mod tests {
         let mut batch = encrypt_batch(&mut cryptor, &[row(7, 70)], 1);
         batch.extend(encrypt_batch(&mut wrong_cryptor, &[row(8, 80)], 0));
 
-        let err = core.ingest("yellow", 60, batch).unwrap_err();
+        let err = core.update("yellow", 60, batch).unwrap_err();
         assert!(matches!(err, EdbError::Crypto(_)));
         assert_eq!(core.table_stats("yellow"), stats_before);
         assert_eq!(core.storage().adversary_view(), view_before);
@@ -963,7 +1106,7 @@ mod tests {
         assert_eq!(touched, 5);
         // New batches are applied as deltas, dummies as no-ops.
         let batch = encrypt_batch(&mut cryptor, &[row(3, 90), row(4, 900)], 2);
-        core.ingest("yellow", 30, batch).unwrap();
+        core.update("yellow", 30, batch).unwrap();
         let (_, answer, touched) = core.view_read("q1").unwrap();
         assert_eq!(answer, QueryAnswer::Scalar(3.0));
         assert_eq!(touched, 9);
@@ -983,7 +1126,7 @@ mod tests {
         let def = ViewDef::new("q2", paper_queries::q2_group_by_count("yellow")).unwrap();
         core.register_view(&def).unwrap();
         let batch = encrypt_batch(&mut cryptor, &[row(3, 60), row(4, 80), row(5, 60)], 3);
-        core.ingest("yellow", 42, batch).unwrap();
+        core.update("yellow", 42, batch).unwrap();
         let (_, view_answer, _) = core.view_read("q2").unwrap();
         let (scan_answer, _) = core
             .execute(&paper_queries::q2_group_by_count("yellow"))
@@ -1041,7 +1184,7 @@ mod tests {
         let mut wrong_cryptor = RecordCryptor::new(&wrong);
         let mut batch = encrypt_batch(&mut cryptor, &[row(7, 70)], 1);
         batch.extend(encrypt_batch(&mut wrong_cryptor, &[row(8, 80)], 0));
-        assert!(core.ingest("yellow", 60, batch).is_err());
+        assert!(core.update("yellow", 60, batch).is_err());
 
         assert_eq!(core.view_read("q1").unwrap(), before);
         let snapshot = core.table_snapshot("yellow").unwrap();
@@ -1061,7 +1204,7 @@ mod tests {
         // New batches maintain the index as deltas; dummies add entries too,
         // but under the dummy label, so lookups never fetch them.
         let batch = encrypt_batch(&mut cryptor, &[row(3, 90), row(4, 900)], 2);
-        core.ingest("yellow", 30, batch).unwrap();
+        core.update("yellow", 30, batch).unwrap();
         let (answer, fetched) = core.indexed_read("idx", &q1).unwrap();
         assert_eq!(answer, QueryAnswer::Scalar(3.0));
         assert_eq!(fetched, 3);
@@ -1078,7 +1221,7 @@ mod tests {
     fn indexed_group_by_and_select_match_scan() {
         let (core, mut cryptor) = core_with_data();
         let batch = encrypt_batch(&mut cryptor, &[row(3, 60), row(4, 60), row(5, 90)], 3);
-        core.ingest("yellow", 30, batch).unwrap();
+        core.update("yellow", 30, batch).unwrap();
         let def = IndexDef::new("idx", "yellow", "pickup_id").unwrap();
         core.register_index(&def).unwrap();
         // A grouped query with an equality conjunct on the indexed column.
@@ -1111,7 +1254,7 @@ mod tests {
     fn indexed_join_matches_scan_join() {
         let master = MasterKey::from_bytes([9u8; 32]);
         let mut cryptor = RecordCryptor::new(&master);
-        let core = EngineCore::new(&master);
+        let core = ObliDbEngine::new(&master);
         core.setup(
             "yellow",
             schema(),
@@ -1189,7 +1332,7 @@ mod tests {
         let mut wrong_cryptor = RecordCryptor::new(&wrong);
         let mut batch = encrypt_batch(&mut cryptor, &[row(7, 70)], 1);
         batch.extend(encrypt_batch(&mut wrong_cryptor, &[row(8, 80)], 0));
-        assert!(core.ingest("yellow", 60, batch).is_err());
+        assert!(core.update("yellow", 60, batch).is_err());
 
         assert_eq!(core.indexed_read("idx", &q1).unwrap(), before);
         let snapshot = core.table_snapshot("yellow").unwrap();

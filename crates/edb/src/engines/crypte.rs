@@ -19,90 +19,52 @@
 //! * the adversary observes the update pattern and noisy response volumes
 //!   only.
 
+use crate::backend::{StorageBackend, StorageError};
 use crate::cost::CostModel;
-use crate::emm::IndexDef;
-use crate::engines::base::{EngineCore, ReadPath};
+use crate::engines::base::{sealed, Engine, ReleaseRule};
 use crate::leakage::{LeakageClass, LeakageProfile};
 use crate::query::{Query, QueryAnswer};
-use crate::schema::Schema;
-use crate::server::AdversaryView;
-use crate::sogdb::{EdbError, QueryOutcome, SecureOutsourcedDatabase, TableStats};
-use crate::views::ViewDef;
-use dpsync_crypto::{EncryptedRecord, MasterKey};
+use crate::server::ServerStorage;
+use dpsync_crypto::MasterKey;
 use dpsync_dp::{Epsilon, Laplace};
 use rand::RngCore;
+use std::sync::Arc;
 
 /// Default per-query privacy budget used in the paper's evaluation (§8).
 pub const DEFAULT_QUERY_EPSILON: f64 = 3.0;
 
 /// The Crypt-ε-like engine.
+pub type CryptEpsilonEngine = Engine<NoisyRelease>;
+
+/// Crypt-ε's L-DP release rule: the exact answer perturbed with Laplace
+/// noise of scale `1/ε_query`, the server observing only its noisy volume.
+/// Joins and selections are refused.
 #[derive(Debug)]
-pub struct CryptEpsilonEngine {
-    core: EngineCore,
-    cost: CostModel,
+pub struct NoisyRelease {
     query_epsilon: Epsilon,
 }
 
-impl CryptEpsilonEngine {
-    /// Creates an engine with the paper's default query budget (ε = 3) and
-    /// in-memory ciphertext storage.
-    pub fn new(master: &MasterKey) -> Self {
-        Self::with_query_epsilon(master, Epsilon::new_unchecked(DEFAULT_QUERY_EPSILON))
+impl sealed::Sealed for NoisyRelease {}
+
+impl ReleaseRule for NoisyRelease {
+    const NAME: &'static str = "crypt-epsilon";
+
+    const PROFILE: LeakageProfile = LeakageProfile {
+        class: LeakageClass::LDpDifferentiallyPrivateVolume,
+        update_leaks_beyond_pattern: false,
+        native_dummy_support: false,
+    };
+
+    fn supports(query: &Query) -> bool {
+        !matches!(query, Query::JoinCount { .. } | Query::Select { .. })
     }
 
-    /// Creates an engine over an explicit storage backend (e.g. the durable
-    /// segment log), with the default query budget.
-    pub fn with_backend(
-        master: &MasterKey,
-        backend: std::sync::Arc<dyn crate::backend::StorageBackend>,
-    ) -> Result<Self, crate::backend::StorageError> {
-        Ok(Self {
-            core: EngineCore::with_backend(master, backend)?,
-            cost: CostModel::crypt_epsilon(),
-            query_epsilon: Epsilon::new_unchecked(DEFAULT_QUERY_EPSILON),
-        })
-    }
-
-    /// Creates an engine with a custom per-query budget.
-    pub fn with_query_epsilon(master: &MasterKey, query_epsilon: Epsilon) -> Self {
-        Self {
-            core: EngineCore::new(master),
-            cost: CostModel::crypt_epsilon(),
-            query_epsilon,
-        }
-    }
-
-    /// The per-query privacy budget used to perturb released answers.
-    pub fn query_epsilon(&self) -> Epsilon {
-        self.query_epsilon
-    }
-
-    /// The L-DP release rule, shared by every read path: a shape Crypt-ε
-    /// cannot release is rejected before anything is fetched, and the exact
-    /// answer is perturbed, the server observing only its noisy volume.
-    /// A view's query needs no check: views cover count shapes only.
-    fn read(&self, path: ReadPath<'_>, rng: &mut dyn RngCore) -> Result<QueryOutcome, EdbError> {
-        if let ReadPath::Scan(query) | ReadPath::Index(_, query) = path {
-            if !self.supports(query) {
-                return Err(EdbError::UnsupportedQuery {
-                    engine: self.name(),
-                    kind: query.kind(),
-                });
-            }
-        }
-        // The exact answer is the same on every read path, so the Laplace
-        // draws from the caller's rng, and therefore the release and the
-        // noisy volume, are too: fixed-seed runs (including remote ones
-        // through the entropy sub-protocol) release identical answers with
-        // views or indexes on or off.
-        self.core.read(path, &self.cost, |exact| {
-            let answer = self.perturb_answer(exact, rng);
-            let noisy_volume = answer.total().max(0.0).round() as u64;
-            (answer, Some(noisy_volume))
-        })
-    }
-
-    fn perturb_answer(&self, answer: QueryAnswer, rng: &mut dyn RngCore) -> QueryAnswer {
+    /// The exact answer is the same on every read path, so the Laplace
+    /// draws from the caller's rng, and therefore the release and the noisy
+    /// volume, are too: fixed-seed runs (including remote ones through the
+    /// entropy sub-protocol) release identical answers with views or indexes
+    /// on or off.
+    fn release(&self, exact: QueryAnswer, rng: &mut dyn RngCore) -> (QueryAnswer, Option<u64>) {
         let noise = Laplace::new(0.0, 1.0 / self.query_epsilon.value())
             .expect("query epsilon is validated");
         // The raw perturbed value is released as-is — a Laplace draw can
@@ -118,7 +80,7 @@ impl CryptEpsilonEngine {
         // order), no groups take nothing.  `DpRng` fills with the
         // little-endian bytes of successive `next_u64` words, so the noise
         // equals k single draws.
-        match answer {
+        let answer = match exact {
             QueryAnswer::Scalar(v) => QueryAnswer::Scalar((v + noise.sample(rng)).round()),
             QueryAnswer::Groups(groups) => {
                 let draws = noise.sample_n(rng, groups.len());
@@ -131,94 +93,63 @@ impl CryptEpsilonEngine {
                 )
             }
             QueryAnswer::Rows(_) => unreachable!("selections are rejected before the fetch"),
-        }
+        };
+        let noisy_volume = answer.total().max(0.0).round() as u64;
+        (answer, Some(noisy_volume))
     }
 }
 
-impl SecureOutsourcedDatabase for CryptEpsilonEngine {
-    fn name(&self) -> &'static str {
-        "crypt-epsilon"
+impl CryptEpsilonEngine {
+    /// Creates an engine with the paper's default query budget (ε = 3) and
+    /// in-memory ciphertext storage.
+    pub fn new(master: &MasterKey) -> Self {
+        Self::with_query_epsilon(master, Epsilon::new_unchecked(DEFAULT_QUERY_EPSILON))
     }
 
-    fn leakage_profile(&self) -> LeakageProfile {
-        LeakageProfile {
-            class: LeakageClass::LDpDifferentiallyPrivateVolume,
-            update_leaks_beyond_pattern: false,
-            native_dummy_support: false,
-        }
+    /// Creates an engine over an explicit storage backend (e.g. the durable
+    /// segment log), with the default query budget.
+    pub fn with_backend(
+        master: &MasterKey,
+        backend: Arc<dyn StorageBackend>,
+    ) -> Result<Self, StorageError> {
+        let rule = NoisyRelease {
+            query_epsilon: Epsilon::new_unchecked(DEFAULT_QUERY_EPSILON),
+        };
+        let storage = ServerStorage::with_backend(backend)?;
+        Ok(Engine::over(
+            master,
+            storage,
+            CostModel::crypt_epsilon(),
+            rule,
+        ))
     }
 
-    fn cost_model(&self) -> CostModel {
-        self.cost
+    /// Creates an engine with a custom per-query budget.
+    pub fn with_query_epsilon(master: &MasterKey, query_epsilon: Epsilon) -> Self {
+        let rule = NoisyRelease { query_epsilon };
+        Engine::over(
+            master,
+            ServerStorage::new(),
+            CostModel::crypt_epsilon(),
+            rule,
+        )
     }
 
-    fn setup(
-        &self,
-        table: &str,
-        schema: Schema,
-        records: Vec<EncryptedRecord>,
-    ) -> Result<(), EdbError> {
-        self.core.setup(table, schema, records)
-    }
-
-    fn update(
-        &self,
-        table: &str,
-        time: u64,
-        records: Vec<EncryptedRecord>,
-    ) -> Result<(), EdbError> {
-        self.core.ingest(table, time, records)
-    }
-
-    fn query(&self, query: &Query, rng: &mut dyn RngCore) -> Result<QueryOutcome, EdbError> {
-        self.read(ReadPath::Scan(query), rng)
-    }
-
-    fn supports(&self, query: &Query) -> bool {
-        !matches!(query, Query::JoinCount { .. } | Query::Select { .. })
-    }
-
-    fn table_stats(&self, table: &str) -> TableStats {
-        self.core.table_stats(table)
-    }
-
-    fn adversary_view(&self) -> AdversaryView {
-        self.core.storage().adversary_view()
-    }
-
-    fn register_view(&self, def: &ViewDef) -> Result<(), EdbError> {
-        // Views only cover count shapes, which Crypt-ε supports; nothing is
-        // observed by the server at registration time.
-        self.core.register_view(def)
-    }
-
-    fn query_view(&self, name: &str, rng: &mut dyn RngCore) -> Result<QueryOutcome, EdbError> {
-        self.read(ReadPath::View(name), rng)
-    }
-
-    fn register_index(&self, def: &IndexDef) -> Result<(), EdbError> {
-        // Index maintenance inserts one entry per padded record; the server
-        // observes nothing beyond the Definition-2 update pattern.
-        self.core.register_index(def)
-    }
-
-    fn query_indexed(
-        &self,
-        name: &str,
-        query: &Query,
-        rng: &mut dyn RngCore,
-    ) -> Result<QueryOutcome, EdbError> {
-        self.read(ReadPath::Index(name, query), rng)
+    /// The per-query privacy budget used to perturb released answers.
+    pub fn query_epsilon(&self) -> Epsilon {
+        self.rule.query_epsilon
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emm::IndexDef;
     use crate::engines::base::encrypt_batch;
     use crate::query::paper_queries;
     use crate::row::Row;
-    use crate::schema::{DataType, Value};
+    use crate::schema::{DataType, Schema, Value};
+    use crate::sogdb::{EdbError, SecureOutsourcedDatabase};
     use dpsync_crypto::RecordCryptor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -292,7 +223,7 @@ mod tests {
         let per_group = |engine: &CryptEpsilonEngine, query: &Query, rng: &StdRng| {
             let noise = Laplace::new(0.0, 1.0 / DEFAULT_QUERY_EPSILON).unwrap();
             let mut rng = rng.clone();
-            let (exact, _) = engine.core.execute(query).unwrap();
+            let (exact, _) = engine.execute(query).unwrap();
             let groups = exact
                 .as_groups()
                 .unwrap()

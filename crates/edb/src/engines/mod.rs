@@ -2,10 +2,10 @@
 //!
 //! The paper evaluates DP-Sync on two systems drawn from different leakage
 //! groups (§8): ObliDB (L-0, oblivious query processing inside SGX) and
-//! Crypt-ε (L-DP, crypto-assisted differential privacy).  This module
-//! provides simulators for both, sharing the storage/decryption plumbing and
-//! the one read step of every `Π_Query` path in [`base`]; each engine only
-//! hands that step its release rule:
+//! Crypt-ε (L-DP, crypto-assisted differential privacy).  Both are one type,
+//! [`base::Engine`], which holds the storage/decryption plumbing, the one
+//! read step of every `Π_Query` path and the one protocol impl; an engine is
+//! that type plus its [`base::ReleaseRule`] and constructors:
 //!
 //! * [`oblidb::ObliDbEngine`] — exact answers, oblivious full-scan cost,
 //!   supports joins, reveals nothing about response volumes.

@@ -13,144 +13,76 @@
 //! * the adversary observes the update pattern and the query kinds, but no
 //!   response volumes ([`LeakageClass::L0ResponseVolumeHiding`]).
 
+use crate::backend::{StorageBackend, StorageError};
 use crate::cost::CostModel;
-use crate::emm::IndexDef;
-use crate::engines::base::{EngineCore, ReadPath};
+use crate::engines::base::{sealed, Engine, ReleaseRule};
 use crate::leakage::{LeakageClass, LeakageProfile};
-use crate::query::Query;
-use crate::schema::Schema;
-use crate::server::AdversaryView;
-use crate::sogdb::{EdbError, QueryOutcome, SecureOutsourcedDatabase, TableStats};
-use crate::views::ViewDef;
-use dpsync_crypto::{EncryptedRecord, MasterKey};
+use crate::query::{Query, QueryAnswer};
+use crate::server::ServerStorage;
+use dpsync_crypto::MasterKey;
 use rand::RngCore;
+use std::sync::Arc;
 
 /// The ObliDB-like engine.
+pub type ObliDbEngine = Engine<Oblivious>;
+
+/// ObliDB's L-0 release rule: the exact answer, with no response volume
+/// observed by the server, for every query shape.
 #[derive(Debug)]
-pub struct ObliDbEngine {
-    core: EngineCore,
-    cost: CostModel,
+pub struct Oblivious;
+
+impl sealed::Sealed for Oblivious {}
+
+impl ReleaseRule for Oblivious {
+    const NAME: &'static str = "oblidb";
+
+    const PROFILE: LeakageProfile = LeakageProfile {
+        class: LeakageClass::L0ResponseVolumeHiding,
+        update_leaks_beyond_pattern: false,
+        native_dummy_support: true,
+    };
+
+    fn supports(_query: &Query) -> bool {
+        true
+    }
+
+    fn release(&self, exact: QueryAnswer, _rng: &mut dyn RngCore) -> (QueryAnswer, Option<u64>) {
+        (exact, None)
+    }
 }
 
 impl ObliDbEngine {
     /// Creates an engine sharing the owner's master key, with the default
     /// ObliDB cost model and in-memory ciphertext storage.
     pub fn new(master: &MasterKey) -> Self {
-        Self::with_cost_model(master, CostModel::oblidb())
+        Engine::over(master, ServerStorage::new(), CostModel::oblidb(), Oblivious)
     }
 
     /// Creates an engine over an explicit storage backend (e.g. the durable
     /// segment log), with the default cost model.
     pub fn with_backend(
         master: &MasterKey,
-        backend: std::sync::Arc<dyn crate::backend::StorageBackend>,
-    ) -> Result<Self, crate::backend::StorageError> {
-        Ok(Self {
-            core: EngineCore::with_backend(master, backend)?,
-            cost: CostModel::oblidb(),
-        })
-    }
-
-    /// Creates an engine with a custom cost model (used by ablation benches).
-    pub fn with_cost_model(master: &MasterKey, cost: CostModel) -> Self {
-        Self {
-            core: EngineCore::new(master),
-            cost,
-        }
-    }
-
-    /// The L-0 release rule, shared by every read path: the exact answer,
-    /// with no response volume observed by the server.
-    fn read(&self, path: ReadPath<'_>) -> Result<QueryOutcome, EdbError> {
-        self.core.read(path, &self.cost, |exact| (exact, None))
-    }
-}
-
-impl SecureOutsourcedDatabase for ObliDbEngine {
-    fn name(&self) -> &'static str {
-        "oblidb"
-    }
-
-    fn leakage_profile(&self) -> LeakageProfile {
-        LeakageProfile {
-            class: LeakageClass::L0ResponseVolumeHiding,
-            update_leaks_beyond_pattern: false,
-            native_dummy_support: true,
-        }
-    }
-
-    fn cost_model(&self) -> CostModel {
-        self.cost
-    }
-
-    fn setup(
-        &self,
-        table: &str,
-        schema: Schema,
-        records: Vec<EncryptedRecord>,
-    ) -> Result<(), EdbError> {
-        self.core.setup(table, schema, records)
-    }
-
-    fn update(
-        &self,
-        table: &str,
-        time: u64,
-        records: Vec<EncryptedRecord>,
-    ) -> Result<(), EdbError> {
-        self.core.ingest(table, time, records)
-    }
-
-    fn query(&self, query: &Query, _rng: &mut dyn RngCore) -> Result<QueryOutcome, EdbError> {
-        self.read(ReadPath::Scan(query))
-    }
-
-    fn supports(&self, _query: &Query) -> bool {
-        true
-    }
-
-    fn table_stats(&self, table: &str) -> TableStats {
-        self.core.table_stats(table)
-    }
-
-    fn adversary_view(&self) -> AdversaryView {
-        self.core.storage().adversary_view()
-    }
-
-    fn register_view(&self, def: &ViewDef) -> Result<(), EdbError> {
-        // Registration is owner/analyst bookkeeping inside the trusted
-        // boundary: nothing is observed by the server.
-        self.core.register_view(def)
-    }
-
-    fn query_view(&self, name: &str, _rng: &mut dyn RngCore) -> Result<QueryOutcome, EdbError> {
-        self.read(ReadPath::View(name))
-    }
-
-    fn register_index(&self, def: &IndexDef) -> Result<(), EdbError> {
-        // Like view registration: trusted-boundary bookkeeping, and index
-        // maintenance inserts one entry per padded record, so the server
-        // observes nothing beyond the Definition-2 update pattern.
-        self.core.register_index(def)
-    }
-
-    fn query_indexed(
-        &self,
-        name: &str,
-        query: &Query,
-        _rng: &mut dyn RngCore,
-    ) -> Result<QueryOutcome, EdbError> {
-        self.read(ReadPath::Index(name, query))
+        backend: Arc<dyn StorageBackend>,
+    ) -> Result<Self, StorageError> {
+        let storage = ServerStorage::with_backend(backend)?;
+        Ok(Engine::over(
+            master,
+            storage,
+            CostModel::oblidb(),
+            Oblivious,
+        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emm::IndexDef;
     use crate::engines::base::encrypt_batch;
-    use crate::query::{paper_queries, QueryAnswer};
+    use crate::query::paper_queries;
     use crate::row::Row;
-    use crate::schema::{DataType, Value};
+    use crate::schema::{DataType, Schema, Value};
+    use crate::sogdb::{EdbError, SecureOutsourcedDatabase};
     use dpsync_crypto::RecordCryptor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -341,6 +273,30 @@ mod tests {
             engine.query_indexed("nope", &q1, &mut rng),
             Err(EdbError::UnknownIndex(_))
         ));
+    }
+
+    #[test]
+    fn reads_draw_nothing_from_the_callers_rng() {
+        use crate::views::ViewDef;
+        // The exact release needs no randomness and the shared read step
+        // draws none of its own, so scan, view and indexed reads all leave
+        // the caller's rng where it was: in-process and remote runs keep
+        // identical rng streams.
+        let (engine, _) = engine_with_data();
+        let q1 = paper_queries::q1_range_count("yellow");
+        engine
+            .register_view(&ViewDef::new("q1", q1.clone()).unwrap())
+            .unwrap();
+        engine
+            .register_index(&IndexDef::new("idx", "yellow", "pickup_id").unwrap())
+            .unwrap();
+        let start = StdRng::seed_from_u64(12);
+        let mut rng = start.clone();
+        engine.query(&q1, &mut rng).unwrap();
+        engine.query_view("q1", &mut rng).unwrap();
+        engine.query_indexed("idx", &q1, &mut rng).unwrap();
+        assert_eq!(rng, start);
+        assert_eq!(engine.adversary_view().queries().len(), 3);
     }
 
     #[test]

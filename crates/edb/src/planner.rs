@@ -199,17 +199,6 @@ impl Planner {
         Self { policy, stats }
     }
 
-    /// The policy this planner enforces.
-    pub fn policy(&self) -> LeakagePolicy {
-        self.policy
-    }
-
-    /// Mutable access to the statistics (the analyst refreshes them as its
-    /// logical database grows).
-    pub fn stats_mut(&mut self) -> &mut Statistics {
-        &mut self.stats
-    }
-
     /// Chooses a plan for `query` given the registered indexes and the
     /// engine's cost model.
     ///

@@ -16,34 +16,35 @@
 //!
 //! # Sharding
 //!
-//! Storage is sharded **per table**: each table's ciphertext store and its
-//! slice of the update-pattern transcript live in their own [`TableShard`]
-//! behind an independent `RwLock`, so owners of different tables can run
-//! `Π_Update` concurrently without serializing on one global lock.  The
-//! table map itself is only write-locked when a new table is created;
-//! steady-state ingest takes the map read lock just long enough to clone the
-//! shard handle.
+//! Storage is sharded **per table**: each table's ciphertext store, which
+//! also holds its slice of the update-pattern transcript, is the
+//! [`TableStore`] the backend opened for it, behind an independent `RwLock`
+//! (a [`ShardHandle`]), so owners of different tables can run `Π_Update`
+//! concurrently without serializing on one global lock.  The table map
+//! itself is only write-locked when a new table is created; steady-state
+//! ingest takes the map read lock just long enough to clone the shard
+//! handle.
 //!
 //! Concurrency does not change what the adversary formally sees: the
 //! transcript of Definition 2 is a *set* of `(t, |γ_t|)` events, and
 //! [`ServerStorage::adversary_view`] merges the per-table shards into one
 //! canonical ordered transcript (sorted by time, then table name, then
-//! per-table arrival index).  Both the sequential and the parallel simulation
-//! drivers read the transcript through this merge, so the privacy verifier
+//! per-table arrival index).  The simulation driver reads the transcript
+//! through this merge however many threads it runs, so the privacy verifier
 //! always sees the same canonical view regardless of thread interleaving.
 //!
 //! # Storage backends
 //!
 //! How a shard *materializes* its ciphertexts is delegated to a pluggable
 //! [`StorageBackend`] (see [`crate::backend`]): the default in-memory store,
-//! or the durable encrypted segment log.  The shard records the same
-//! `(time, volume)` observation either way, so the adversary view — and
-//! therefore the leakage profile — is backend-independent by construction.
+//! or the durable encrypted segment log.  Every store records the same
+//! `(time, volume)` observation, so the adversary view — and therefore the
+//! leakage profile — is backend-independent by construction.
 //! [`ServerStorage::with_backend`] additionally *recovers* tables that
 //! already exist on a durable backend's medium, rebuilding the pre-crash
 //! transcript before any new protocol runs.
 
-use crate::backend::{AppendAck, MemoryBackend, StorageBackend, StorageError, TableStore};
+use crate::backend::{MemoryBackend, StorageBackend, StorageError, TableStore};
 use crate::leakage::{UpdateEvent, UpdatePattern};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -52,55 +53,9 @@ use std::sync::Arc;
 
 pub use crate::view::{AdversaryView, QueryObservation};
 
-/// One table's slice of the server: its ciphertext store (owned `Box<dyn
-/// TableStore>`, opened from the configured backend) plus the update events
-/// the server observed for it, in arrival order.
-#[derive(Debug)]
-pub struct TableShard {
-    store: Box<dyn TableStore>,
-}
-
-impl TableShard {
-    /// Wraps an opened per-table store.
-    pub fn new(store: Box<dyn TableStore>) -> Self {
-        Self { store }
-    }
-
-    /// Appends a batch of ciphertexts at `time` and records the observation.
-    ///
-    /// The returned [`AppendAck`] says when the batch may be acknowledged:
-    /// callers must wait on it *after* releasing this shard's lock, so that
-    /// a group-committing backend can stage appends from other protocol
-    /// runs into the same sync window.  An error means the batch was not
-    /// stored and no observation was recorded.
-    pub fn ingest(&mut self, time: u64, ciphertexts: &[Bytes]) -> Result<AppendAck, StorageError> {
-        self.store.append_batch(time, ciphertexts)
-    }
-
-    /// Number of stored ciphertexts.
-    pub fn ciphertext_count(&self) -> u64 {
-        self.store.ciphertext_count()
-    }
-
-    /// Total ciphertext bytes received for this table.
-    pub fn ciphertext_bytes(&self) -> u64 {
-        self.store.ciphertext_bytes()
-    }
-
-    /// The update events observed for this table (including events recovered
-    /// from a durable backend at open time), in arrival order.
-    pub fn updates(&self) -> &[UpdateEvent] {
-        self.store.updates()
-    }
-
-    /// Scans every stored ciphertext in arrival order.
-    pub fn scan(&self, visit: &mut dyn FnMut(&[u8])) -> Result<(), StorageError> {
-        self.store.scan(visit)
-    }
-}
-
-/// A shareable handle to one table's shard.
-pub type ShardHandle = Arc<RwLock<TableShard>>;
+/// A shareable handle to one table's store: its ciphertexts plus the update
+/// events the server observed for it, in arrival order.
+pub type ShardHandle = Arc<RwLock<Box<dyn TableStore>>>;
 
 /// The server's ciphertext store across tables, plus the adversary view.
 ///
@@ -137,18 +92,13 @@ impl ServerStorage {
         let mut shards = BTreeMap::new();
         for table in backend.existing_tables()? {
             let store = backend.open_table(&table)?;
-            shards.insert(table, Arc::new(RwLock::new(TableShard::new(store))));
+            shards.insert(table, Arc::new(RwLock::new(store)));
         }
         Ok(Self {
             backend,
             shards: RwLock::new(shards),
             queries: Mutex::new(Vec::new()),
         })
-    }
-
-    /// The backend this storage runs on.
-    pub fn backend(&self) -> &Arc<dyn StorageBackend> {
-        &self.backend
     }
 
     /// The shard handle for `table`, creating (opening) it when absent.
@@ -166,7 +116,7 @@ impl ServerStorage {
             return Ok(Arc::clone(shard));
         }
         let store = self.backend.open_table(table)?;
-        let shard = Arc::new(RwLock::new(TableShard::new(store)));
+        let shard = Arc::new(RwLock::new(store));
         map.insert(table.to_string(), Arc::clone(&shard));
         Ok(shard)
     }
@@ -194,7 +144,7 @@ impl ServerStorage {
         time: u64,
         ciphertexts: &[Bytes],
     ) -> Result<(), StorageError> {
-        let ack = self.shard(table)?.write().ingest(time, ciphertexts)?;
+        let ack = self.shard(table)?.write().append_batch(time, ciphertexts)?;
         ack.wait()
     }
 
@@ -204,21 +154,21 @@ impl ServerStorage {
     }
 
     /// Runs `f` over the shard of `table`, if present (read-locked).
-    pub fn with_shard<R>(&self, name: &str, f: impl FnOnce(&TableShard) -> R) -> Option<R> {
+    pub fn with_shard<R>(&self, name: &str, f: impl FnOnce(&dyn TableStore) -> R) -> Option<R> {
         let shard = self.existing_shard(name)?;
         let guard = shard.read();
-        Some(f(&guard))
+        Some(f(&**guard))
     }
 
     /// Number of ciphertexts in a table (0 when missing).
     pub fn ciphertext_count(&self, table: &str) -> u64 {
-        self.with_shard(table, TableShard::ciphertext_count)
+        self.with_shard(table, |store| store.ciphertext_count())
             .unwrap_or(0)
     }
 
     /// Total ciphertext bytes stored for a table (0 when missing).
     pub fn table_bytes(&self, table: &str) -> u64 {
-        self.with_shard(table, TableShard::ciphertext_bytes)
+        self.with_shard(table, |store| store.ciphertext_bytes())
             .unwrap_or(0)
     }
 
@@ -230,7 +180,7 @@ impl ServerStorage {
         table: &str,
         visit: &mut dyn FnMut(&[u8]),
     ) -> Option<Result<(), StorageError>> {
-        self.with_shard(table, |shard| shard.scan(visit))
+        self.with_shard(table, |store| store.scan(visit))
     }
 
     /// Merges the per-table shards into the canonical adversary transcript.

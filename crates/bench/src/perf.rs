@@ -10,7 +10,7 @@
 //! the reactor service tier (multiplexed sessions over real loopback
 //! sockets), query execution (full scans, materialized-view reads and
 //! encrypted-multimap selection-index reads, plus the view- and
-//! index-maintenance ingest overheads), and a
+//! index-maintenance ingest overheads), the analyst's pose stage, and a
 //! small end-to-end sync — and renders the medians into a versioned
 //! [`BenchReport`].  The `exp_bench`
 //! binary writes the report as `BENCH_<label>.json`, and its `compare`
@@ -1114,6 +1114,80 @@ fn bench_sparse_tick_sim(scale: &SuiteScale, seed: u64) -> BenchResult {
     })
 }
 
+/// Poses an [`Analyst`] times per `analyst_pose` sample.
+const ANALYST_POSES: usize = 16;
+
+/// Rows appended to the analyst's logical copy between two poses.
+const ROWS_PER_POSE: usize = 4;
+
+/// Times the analyst's pose stage: an `Analyst` under
+/// `ReadMode::Indexes(AllowIndexedVolume)` poses Q1, a point lookup and Q2
+/// against its own in-process engine, loaded with the suite's `yellow` rows
+/// outside the timed region, while a few rows are appended to its logical
+/// copy between poses.  The first pose (index registration, catching up on
+/// the loaded rows) is untimed; the reported figure is ns per pose.  A pose
+/// that rescans the logical copy for its ground truth or its planner
+/// statistics costs O(table size) here instead of O(rows appended).
+fn bench_analyst_pose(scale: &SuiteScale, seed: u64) -> BenchResult {
+    use dpsync_core::analyst::{Analyst, NamedQuery, ReadMode};
+    use dpsync_core::Timestamp;
+    use dpsync_edb::exec::PlainDatabase;
+    use dpsync_edb::{LeakagePolicy, Predicate, Query};
+
+    let master = MasterKey::from_bytes([0xA7; 32]);
+    let mut cryptor = RecordCryptor::new(&master);
+    let rows = synthetic_rows(scale.query_rows, seed);
+    let engine = ObliDbEngine::new(&master);
+    engine
+        .setup(
+            "yellow",
+            taxi_like_schema(),
+            encrypt_batch(&mut cryptor, &rows, scale.query_rows / 4),
+        )
+        .expect("fresh engine");
+    let mut loaded = PlainDatabase::new();
+    loaded.create_table("yellow", taxi_like_schema());
+    for row in rows {
+        loaded.insert("yellow", row);
+    }
+    let arrivals = synthetic_rows(ANALYST_POSES * ROWS_PER_POSE, seed ^ 0xA7A7);
+    let queries = vec![
+        NamedQuery::new("Q1", paper_queries::q1_range_count("yellow")),
+        NamedQuery::new(
+            "point",
+            Query::Count {
+                table: "yellow".into(),
+                predicate: Some(Predicate::Eq("pickup_id".into(), Value::Int(77))),
+            },
+        ),
+        NamedQuery::new("Q2", paper_queries::q2_group_by_count("yellow")),
+    ];
+    run_bench("analyst_pose", scale.samples, ANALYST_POSES as u64, || {
+        let mut logical = loaded.clone();
+        let mut analyst = Analyst::with_mode(
+            queries.clone(),
+            ReadMode::Indexes(LeakagePolicy::AllowIndexedVolume),
+        );
+        let mut rng = DpRng::seed_from_u64(seed);
+        analyst
+            .pose_all(Timestamp(0), &engine, &logical, &mut rng)
+            .expect("first pose succeeds");
+        let started = Instant::now();
+        for (pose, batch) in arrivals.chunks(ROWS_PER_POSE).enumerate() {
+            for row in batch {
+                logical.insert("yellow", row.clone());
+            }
+            let time = Timestamp(pose as u64 + 1);
+            black_box(
+                analyst
+                    .pose_all(time, &engine, &logical, &mut rng)
+                    .expect("pose succeeds"),
+            );
+        }
+        started.elapsed()
+    })
+}
+
 /// Runs the full suite and returns the report.
 pub fn run_suite(config: &SuiteConfig) -> BenchReport {
     let scale = SuiteScale::new(config.smoke);
@@ -1171,6 +1245,7 @@ pub fn run_suite(config: &SuiteConfig) -> BenchReport {
         bench_emm_maintenance(&scale, seed),
         bench_e2e_sync(&scale, seed),
         bench_sparse_tick_sim(&scale, seed),
+        bench_analyst_pose(&scale, seed),
     ];
     BenchReport {
         version: REPORT_VERSION,
@@ -1335,6 +1410,7 @@ mod tests {
             "emm_maintenance",
             "e2e_sync",
             "sparse_tick_sim",
+            "analyst_pose",
         ] {
             assert!(names.contains(&expected), "missing {expected}");
         }

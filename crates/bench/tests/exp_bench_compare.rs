@@ -204,6 +204,7 @@ fn checked_in_baseline_is_loadable_and_covers_the_gated_benchmarks() {
         "pi_update_ingest_disk",
         "crypto_encrypt",
         "e2e_sync",
+        "analyst_pose",
     ] {
         assert!(
             report.result(name).is_some(),

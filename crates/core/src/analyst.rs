@@ -5,15 +5,25 @@
 //! ground truth — the logical database — so it can measure the L1 error of
 //! every answer; in production the error is of course unknown, which is
 //! exactly why the paper proves the logical-gap bounds instead.
+//!
+//! The logical copy only grows, so the analyst keeps what it derives from it
+//! current instead of recomputing it: a cursor per queried table counts the
+//! rows already applied, and each pose first feeds the rows appended since
+//! the last one to each count and group-by query's ground-truth
+//! [`MaterializedView`] and, when it plans over indexes, to the planner's
+//! [`RunningTableStats`].  A pose therefore costs O(rows appended since the
+//! last pose) on the harness side, not O(table size).  Joins and selections
+//! have no incremental form and keep their ground truth on
+//! [`PlainDatabase::execute`].
 
 use crate::metrics::QuerySample;
 use crate::timeline::Timestamp;
 use dpsync_edb::emm::IndexDef;
 use dpsync_edb::exec::PlainDatabase;
-use dpsync_edb::planner::{LeakagePolicy, Plan, Planner, Statistics};
+use dpsync_edb::planner::{LeakagePolicy, Plan, Planner, RunningTableStats, Statistics};
 use dpsync_edb::query::QueryAnswer;
 use dpsync_edb::sogdb::{EdbError, QueryOutcome, SecureOutsourcedDatabase};
-use dpsync_edb::views::ViewDef;
+use dpsync_edb::views::{MaterializedView, ViewDef};
 use dpsync_edb::Query;
 use rand::RngCore;
 use std::collections::BTreeSet;
@@ -93,6 +103,9 @@ pub struct Analyst {
     indexes: Vec<(IndexDef, Registration)>,
     /// Whether the engine supports each query, asked at the first pose.
     supported: Option<Vec<bool>>,
+    /// Ground truth and planner statistics, kept current with the logical
+    /// copy.
+    running: Running,
 }
 
 impl Analyst {
@@ -114,12 +127,14 @@ impl Analyst {
                 .collect(),
             _ => Vec::new(),
         };
+        let running = Running::new(&queries, matches!(mode, ReadMode::Indexes(_)));
         Self {
             queries,
             mode,
             views,
             indexes,
             supported: None,
+            running,
         }
     }
 
@@ -144,6 +159,23 @@ impl Analyst {
     /// tables that have not been set up yet are retried at the next pose,
     /// and a query whose shape or engine cannot be served by a view or an
     /// index stays on the scan path.
+    ///
+    /// # The logical copy only grows
+    ///
+    /// `logical` must be the same append-only copy at every pose: tables may
+    /// appear and rows may be appended between poses, but no row is ever
+    /// removed, replaced or reordered (a `Simulation` run only appends).
+    /// The analyst relies on it to cost O(rows appended since the last pose)
+    /// rather than O(table size): it feeds only the new rows of each queried
+    /// table to the count and group-by queries' ground-truth views and to the
+    /// planner's running statistics.  A table is followed from the first pose
+    /// at which it exists with a schema.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the table, when a followed table has fewer rows than
+    /// an earlier pose already applied, or has vanished: the ground truth
+    /// would otherwise be silently wrong.
     pub fn pose_all(
         &mut self,
         time: Timestamp,
@@ -152,17 +184,18 @@ impl Analyst {
         rng: &mut dyn RngCore,
     ) -> Result<Vec<QuerySample>, EdbError> {
         self.register_pending(edb)?;
-        let plan_context = self.index_plan(logical);
         let queries = &self.queries;
         let supported = self
             .supported
             .get_or_insert_with(|| queries.iter().map(|q| edb.supports(&q.query)).collect());
+        self.running.catch_up(queries, supported, logical);
+        let plan_context = index_plan(self.mode, &self.indexes, &self.running);
         let mut samples = Vec::with_capacity(queries.len());
         for (index, named) in queries.iter().enumerate() {
             if !supported[index] {
                 continue;
             }
-            let truth = logical.execute(&named.query)?;
+            let truth = self.running.truth(index, &named.query, logical)?;
             let outcome = if self.views.get(index) == Some(&Registration::Registered) {
                 edb.query_view(&named.label, rng)?
             } else if let Some((planner, registered)) = plan_context.as_ref() {
@@ -206,35 +239,178 @@ impl Analyst {
         }
         Ok(())
     }
+}
 
-    /// Index-planning bookkeeping done once per pose: rebuilds the planner's
-    /// statistics from the analyst's logical copy of the data.  `None`
-    /// unless the analyst plans over indexes.
-    fn index_plan(&self, logical: &PlainDatabase) -> Option<(Planner, Vec<IndexDef>)> {
-        let ReadMode::Indexes(policy) = self.mode else {
-            return None;
-        };
-        let mut stats = Statistics::new();
-        let mut observed = BTreeSet::new();
-        for named in &self.queries {
+/// The planner for this pose, over the running statistics, and the indexes
+/// registered so far.  `None` unless the analyst plans over indexes.
+fn index_plan(
+    mode: ReadMode,
+    indexes: &[(IndexDef, Registration)],
+    running: &Running,
+) -> Option<(Planner, Vec<IndexDef>)> {
+    let ReadMode::Indexes(policy) = mode else {
+        return None;
+    };
+    let registered = indexes
+        .iter()
+        .filter(|(_, state)| *state == Registration::Registered)
+        .map(|(def, _)| def.clone())
+        .collect();
+    Some((Planner::new(policy, running.statistics()), registered))
+}
+
+/// The name every ground-truth view is built under.  The views never reach
+/// a server, so one fixed name serves every query, whatever its label.
+const GROUND_TRUTH_VIEW: &str = "ground_truth";
+
+/// What the analyst derives from its logical copy, kept current one pose at
+/// a time: each count and group-by query's ground truth as a
+/// [`MaterializedView`], and per-table planner statistics.
+#[derive(Debug, Clone, Default)]
+struct Running {
+    /// One entry per table the state is derived from, in first-use order.
+    tables: Vec<FollowedTable>,
+    /// Each query's ground-truth view, once its table exists with a schema;
+    /// `None` answers through [`PlainDatabase::execute`].
+    truths: Vec<Option<MaterializedView>>,
+    /// Whether planner statistics are kept (under [`ReadMode::Indexes`]).
+    with_stats: bool,
+}
+
+/// One table of the logical copy that the running state is derived from.
+#[derive(Debug, Clone)]
+struct FollowedTable {
+    name: String,
+    /// The queries whose ground truth can be a view over this table.
+    readers: Vec<usize>,
+    /// Set at the first pose at which the table exists with a schema.
+    cursor: Option<Cursor>,
+}
+
+/// How far the running state has read into one table.
+#[derive(Debug, Clone)]
+struct Cursor {
+    /// Rows of the table already applied.
+    applied: usize,
+    /// The table's running planner statistics, when kept.
+    stats: Option<RunningTableStats>,
+}
+
+impl Running {
+    /// Follows the table of every count and group-by query for ground truth
+    /// and, `with_stats`, every table any query reads for planner
+    /// statistics (the coverage `Statistics::observe_table` had per pose).
+    fn new(queries: &[NamedQuery], with_stats: bool) -> Self {
+        let mut tables: Vec<FollowedTable> = Vec::new();
+        for (index, named) in queries.iter().enumerate() {
+            let reader = matches!(
+                named.query,
+                Query::Count { .. } | Query::GroupByCount { .. }
+            );
+            if !(reader || with_stats) {
+                continue;
+            }
             for table in named.query.tables() {
-                if !observed.insert(table.to_string()) {
-                    continue;
-                }
-                if let Some(plain) = logical.table(table) {
-                    if let Some(schema) = plain.schema() {
-                        stats.observe_table(table, schema, plain.rows());
+                let slot = match tables.iter().position(|t| t.name == table) {
+                    Some(slot) => slot,
+                    None => {
+                        tables.push(FollowedTable {
+                            name: table.to_string(),
+                            readers: Vec::new(),
+                            cursor: None,
+                        });
+                        tables.len() - 1
                     }
+                };
+                if reader {
+                    tables[slot].readers.push(index);
                 }
             }
         }
-        let registered = self
-            .indexes
-            .iter()
-            .filter(|(_, state)| *state == Registration::Registered)
-            .map(|(def, _)| def.clone())
-            .collect();
-        Some((Planner::new(policy, stats), registered))
+        Self {
+            tables,
+            truths: vec![None; queries.len()],
+            with_stats,
+        }
+    }
+
+    /// Applies the rows appended to each followed table since the last pose.
+    /// A table that has just appeared with a schema starts at row 0, and its
+    /// supported readers get their views then.
+    fn catch_up(&mut self, queries: &[NamedQuery], supported: &[bool], logical: &PlainDatabase) {
+        for table in &mut self.tables {
+            let plain = logical.table(&table.name);
+            let Some((schema, rows)) = plain.and_then(|p| Some((p.schema()?, p.rows()))) else {
+                assert!(
+                    table.cursor.is_none(),
+                    "the logical copy must only grow: table `{}` was followed by an \
+                     earlier pose and is gone",
+                    table.name
+                );
+                continue;
+            };
+            let cursor = table.cursor.get_or_insert_with(|| {
+                for &index in &table.readers {
+                    if supported[index] {
+                        self.truths[index] =
+                            ViewDef::new(GROUND_TRUTH_VIEW, queries[index].query.clone())
+                                .and_then(|def| MaterializedView::new(def, schema))
+                                .ok();
+                    }
+                }
+                Cursor {
+                    applied: 0,
+                    stats: self.with_stats.then(|| RunningTableStats::new(schema)),
+                }
+            });
+            let Some(new) = rows.get(cursor.applied..) else {
+                panic!(
+                    "the logical copy must only grow: table `{}` has {} rows, but an \
+                     earlier pose already applied {}",
+                    table.name,
+                    rows.len(),
+                    cursor.applied
+                );
+            };
+            for &index in &table.readers {
+                if let Some(view) = &mut self.truths[index] {
+                    for row in new {
+                        view.apply_row(schema, row);
+                    }
+                }
+            }
+            if let Some(stats) = &mut cursor.stats {
+                stats.observe(new);
+            }
+            cursor.applied = rows.len();
+        }
+    }
+
+    /// The ground truth of query `index`: its view's answer when it has
+    /// one, otherwise a scan of `logical` (joins, selections, and tables
+    /// that do not exist yet or have no schema, whose errors stay those of
+    /// the scan).
+    fn truth(
+        &self,
+        index: usize,
+        query: &Query,
+        logical: &PlainDatabase,
+    ) -> Result<QueryAnswer, EdbError> {
+        match &self.truths[index] {
+            Some(view) => Ok(view.answer()),
+            None => Ok(logical.execute(query)?),
+        }
+    }
+
+    /// The planner statistics of every row applied so far, in O(columns).
+    fn statistics(&self) -> Statistics {
+        let mut stats = Statistics::new();
+        for table in &self.tables {
+            if let Some(running) = table.cursor.as_ref().and_then(|c| c.stats.as_ref()) {
+                running.record_into(&table.name, &mut stats);
+            }
+        }
+        stats
     }
 }
 
@@ -738,5 +914,207 @@ mod tests {
         let samples = hot.pose_all(Timestamp(60), &engine, &db, &mut rng).unwrap();
         assert_eq!(samples.len(), 1);
         assert_eq!(samples[0].l1_error, 0.0);
+    }
+
+    /// The ground-truth workload of the running-state test: views over a
+    /// table present from the start and one created after the first pose,
+    /// scan fallbacks, and a schemaless and a missing table.
+    fn running_workload() -> Vec<NamedQuery> {
+        use dpsync_edb::Predicate;
+        vec![
+            NamedQuery::new("Q1", paper_queries::q1_range_count("yellow")),
+            NamedQuery::new(
+                "point",
+                Query::Count {
+                    table: "yellow".into(),
+                    predicate: Some(Predicate::Eq("pickup_id".into(), Value::Int(77))),
+                },
+            ),
+            NamedQuery::new("Q2", paper_queries::q2_group_by_count("yellow")),
+            NamedQuery::new(
+                "grouped",
+                Query::GroupByCount {
+                    table: "green".into(),
+                    group_by: "pickup_id".into(),
+                    predicate: Some(Predicate::GreaterThan("pick_time".into(), 3.0)),
+                },
+            ),
+            NamedQuery::new(
+                "count",
+                Query::Count {
+                    table: "green".into(),
+                    predicate: None,
+                },
+            ),
+            NamedQuery::new("Q3", paper_queries::q3_join_count("yellow", "green")),
+            NamedQuery::new(
+                "select",
+                Query::Select {
+                    table: "yellow".into(),
+                    columns: vec!["pickup_id".into()],
+                    predicate: Some(Predicate::LessThan("pickup_id".into(), 60.0)),
+                },
+            ),
+            NamedQuery::new(
+                "bare",
+                Query::Count {
+                    table: "bare".into(),
+                    predicate: Some(Predicate::Eq("pickup_id".into(), Value::Int(1))),
+                },
+            ),
+            NamedQuery::new(
+                "ghost",
+                Query::Count {
+                    table: "ghost".into(),
+                    predicate: None,
+                },
+            ),
+        ]
+    }
+
+    /// Row `i` of the running-state test: every fifth pickup id is NULL.
+    fn varied_row(i: u64) -> Row {
+        let pickup = if i.is_multiple_of(5) {
+            Value::Null
+        } else {
+            Value::Int(40 + (i as i64 * 13) % 50)
+        };
+        Row::new(vec![Value::Timestamp(i % 17), pickup])
+    }
+
+    #[test]
+    fn running_ground_truth_and_stats_match_a_rescan_at_every_pose() {
+        for mode in [
+            ReadMode::Scan,
+            ReadMode::Views,
+            ReadMode::Indexes(LeakagePolicy::AllowIndexedVolume),
+        ] {
+            let master = MasterKey::from_bytes([10u8; 32]);
+            let mut cryptor = RecordCryptor::new(&master);
+            let engine = ObliDbEngine::new(&master);
+            let mut db = PlainDatabase::new();
+            let mut next = 0u64;
+            let mut append = |db: &mut PlainDatabase, table: &str, n: u64| -> Vec<Row> {
+                let rows: Vec<Row> = (next..next + n).map(varied_row).collect();
+                next += n;
+                for r in &rows {
+                    db.insert(table, r.clone());
+                }
+                rows
+            };
+            db.create_table("yellow", schema());
+            let initial = append(&mut db, "yellow", 40);
+            engine
+                .setup("yellow", schema(), encrypt_batch(&mut cryptor, &initial, 2))
+                .unwrap();
+            let queries = running_workload();
+            let mut analyst = Analyst::with_mode(queries.clone(), mode);
+            let mut rng = DpRng::seed_from_u64(10);
+            for pose in 0..6u64 {
+                if pose == 1 {
+                    db.create_table("green", schema());
+                    let initial = append(&mut db, "green", 9);
+                    engine
+                        .setup("green", schema(), encrypt_batch(&mut cryptor, &initial, 1))
+                        .unwrap();
+                }
+                if pose > 0 {
+                    for table in ["yellow", "green"] {
+                        let rows = append(&mut db, table, pose * 3);
+                        let batch = encrypt_batch(&mut cryptor, &rows, 1);
+                        engine.update(table, pose, batch).unwrap();
+                    }
+                }
+                append(&mut db, "bare", 2);
+
+                // The pose fails at the first query whose scan fails, as a
+                // pose that scans for every ground truth would.
+                let expected = queries
+                    .iter()
+                    .find_map(|q| db.execute(&q.query).err())
+                    .map(EdbError::from);
+                let posed = analyst.pose_all(Timestamp(60 * (pose + 1)), &engine, &db, &mut rng);
+                assert_eq!(posed.err(), expected, "{mode:?} pose {pose}");
+
+                for (index, named) in queries.iter().enumerate() {
+                    assert_eq!(
+                        analyst.running.truth(index, &named.query, &db),
+                        db.execute(&named.query).map_err(EdbError::from),
+                        "{mode:?} pose {pose}: {}",
+                        named.label
+                    );
+                }
+                // Views for the count and group-by queries over tables with
+                // a schema, each fed every row of its table exactly once.
+                let viewed: &[usize] = if pose == 0 {
+                    &[0, 1, 2]
+                } else {
+                    &[0, 1, 2, 3, 4]
+                };
+                for (index, truth) in analyst.running.truths.iter().enumerate() {
+                    assert_eq!(truth.is_some(), viewed.contains(&index), "query {index}");
+                    if let Some(view) = truth {
+                        let rows = db.table(view.def().table()).unwrap().len() as u64;
+                        assert_eq!(view.maintained_records(), rows, "query {index}");
+                    }
+                }
+
+                let mut reference = Statistics::new();
+                if matches!(mode, ReadMode::Indexes(_)) {
+                    for table in ["yellow", "green", "bare", "ghost"] {
+                        if let Some(plain) = db.table(table) {
+                            if let Some(schema) = plain.schema() {
+                                reference.observe_table(table, schema, plain.rows());
+                            }
+                        }
+                    }
+                }
+                assert_eq!(
+                    analyst.running.statistics(),
+                    reference,
+                    "{mode:?} pose {pose}"
+                );
+                if let ReadMode::Indexes(policy) = mode {
+                    let (planner, registered) =
+                        index_plan(analyst.mode, &analyst.indexes, &analyst.running).unwrap();
+                    let rescanned = Planner::new(policy, reference);
+                    let cost = engine.cost_model();
+                    for named in &queries {
+                        assert_eq!(
+                            planner.plan(&named.query, &registered, &cost),
+                            rescanned.plan(&named.query, &registered, &cost),
+                            "{}",
+                            named.label
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "the logical copy must only grow: table `yellow` has 3 rows, \
+                               but an earlier pose already applied 5"
+    )]
+    fn a_logical_copy_that_shrinks_between_poses_panics() {
+        let master = MasterKey::from_bytes([11u8; 32]);
+        let mut cryptor = RecordCryptor::new(&master);
+        let engine = ObliDbEngine::new(&master);
+        let yellow: Vec<Row> = (0..5).map(|i| row(i, 60)).collect();
+        engine
+            .setup("yellow", schema(), encrypt_batch(&mut cryptor, &yellow, 0))
+            .unwrap();
+        let mut posing = Analyst::new(vec![NamedQuery::new(
+            "Q1",
+            paper_queries::q1_range_count("yellow"),
+        )]);
+        let mut rng = DpRng::seed_from_u64(11);
+        posing
+            .pose_all(Timestamp(60), &engine, &logical(&yellow, &[]), &mut rng)
+            .unwrap();
+        // The table is replaced by a shorter one between poses.
+        let replaced = logical(&yellow[..3], &[]);
+        let _ = posing.pose_all(Timestamp(120), &engine, &replaced, &mut rng);
     }
 }

@@ -637,11 +637,12 @@ impl<R: ReleaseRule> SecureOutsourcedDatabase for Engine<R> {
     ///
     /// The batch is validated before the table exists, so a rejected setup
     /// leaves no table behind and may be retried; a backend failure after
-    /// that unregisters the table again.  Refuses tables the *storage*
-    /// already holds, not just tables this engine set up: on a recovered
-    /// durable backend, re-running `Π_Setup` would append a duplicate
-    /// time-0 batch to a log that already contains the table's full history
-    /// (recovered tables have no mirror, see `Engine::over`).
+    /// that unregisters the table again, and a retry may reuse the store the
+    /// failed append opened.  Refuses tables whose store already holds update
+    /// events, not just tables this engine set up: on a recovered durable
+    /// backend, re-running `Π_Setup` would append a duplicate time-0 batch to
+    /// a log that already contains the table's full history (recovered
+    /// tables have no mirror, see `Engine::over`).
     fn setup(
         &self,
         table: &str,
@@ -651,7 +652,11 @@ impl<R: ReleaseRule> SecureOutsourcedDatabase for Engine<R> {
         let decoded = self.decode_batch(&records)?;
         let handle = {
             let mut tables = self.tables.write();
-            if tables.contains_key(table) || self.storage.existing_shard(table).is_some() {
+            let stored = self
+                .storage
+                .with_shard(table, |store| !store.updates().is_empty())
+                .unwrap_or(false);
+            if tables.contains_key(table) || stored {
                 return Err(EdbError::AlreadySetUp(table.to_string()));
             }
             let extended = rewrite::schema_with_dummy_flag(&schema);
@@ -836,6 +841,7 @@ pub fn encrypt_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{AppendAck, MemoryBackend, StorageBackend, StorageError, TableStore};
     use crate::engines::ObliDbEngine;
     use crate::query::{paper_queries, Predicate};
     use crate::schema::DataType;
@@ -1345,5 +1351,78 @@ mod tests {
         assert_eq!(core.table_stats("nope"), TableStats::default());
         assert!(core.table_snapshot("nope").is_none());
         assert_eq!(core.ciphertext_count("yellow"), 5);
+    }
+
+    /// A memory backend whose stores each refuse their first append.
+    #[derive(Debug)]
+    struct FailFirstAppend;
+
+    #[derive(Debug)]
+    struct FailFirstStore {
+        inner: Box<dyn TableStore>,
+        failed: bool,
+    }
+
+    impl StorageBackend for FailFirstAppend {
+        fn name(&self) -> &'static str {
+            "fail-first-append"
+        }
+        fn open_table(&self, table: &str) -> Result<Box<dyn TableStore>, StorageError> {
+            Ok(Box::new(FailFirstStore {
+                inner: MemoryBackend::new().open_table(table)?,
+                failed: false,
+            }))
+        }
+        fn existing_tables(&self) -> Result<Vec<String>, StorageError> {
+            Ok(Vec::new())
+        }
+    }
+
+    impl TableStore for FailFirstStore {
+        fn append_batch(
+            &mut self,
+            time: u64,
+            ciphertexts: &[bytes::Bytes],
+        ) -> Result<AppendAck, StorageError> {
+            if !std::mem::replace(&mut self.failed, true) {
+                return Err(StorageError::Backend {
+                    message: "injected append failure".into(),
+                });
+            }
+            self.inner.append_batch(time, ciphertexts)
+        }
+        fn ciphertext_count(&self) -> u64 {
+            self.inner.ciphertext_count()
+        }
+        fn ciphertext_bytes(&self) -> u64 {
+            self.inner.ciphertext_bytes()
+        }
+        fn updates(&self) -> &[crate::leakage::UpdateEvent] {
+            self.inner.updates()
+        }
+        fn scan(&self, visit: &mut dyn FnMut(&[u8])) -> Result<(), StorageError> {
+            self.inner.scan(visit)
+        }
+    }
+
+    #[test]
+    fn setup_whose_append_failed_can_be_retried() {
+        // The failed append already opened the table's store; the store
+        // holds no event, so the retry is the table's first setup.
+        let master = MasterKey::from_bytes([9u8; 32]);
+        let mut cryptor = RecordCryptor::new(&master);
+        let core = ObliDbEngine::with_backend(&master, Arc::new(FailFirstAppend)).unwrap();
+        let first = encrypt_batch(&mut cryptor, &[row(1, 60)], 1);
+        let err = core.setup("yellow", schema(), first).unwrap_err();
+        assert!(matches!(err, EdbError::Storage(_)), "got {err:?}");
+
+        let retry = encrypt_batch(&mut cryptor, &[row(1, 60), row(2, 80)], 1);
+        core.setup("yellow", schema(), retry).unwrap();
+        let batch = encrypt_batch(&mut cryptor, &[row(3, 90)], 0);
+        core.update("yellow", 5, batch).unwrap();
+        let view = core.adversary_view();
+        assert_eq!(view.update_pattern().times(), vec![0, 5]);
+        assert_eq!(view.update_pattern().volumes(), vec![3, 1]);
+        assert_eq!(core.table_stats("yellow").real_records, 3);
     }
 }

@@ -140,7 +140,12 @@ impl PlainDatabase {
     /// Inserts a row into the named table, creating the table schemalessly if
     /// it does not exist (used by engines that defer schema registration).
     pub fn insert(&mut self, table: &str, row: Row) {
-        self.tables.entry(table.to_string()).or_default().push(row);
+        // Look up before `entry`: the table almost always exists, and only a
+        // new table needs an owned name.
+        match self.tables.get_mut(table) {
+            Some(existing) => existing.push(row),
+            None => self.tables.entry(table.to_string()).or_default().push(row),
+        }
     }
 
     /// Returns the named table.

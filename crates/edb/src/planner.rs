@@ -26,7 +26,9 @@ use crate::cost::CostModel;
 use crate::emm::{index_condition, IndexCondition, IndexDef};
 use crate::leakage::PlanLeakage;
 use crate::query::Query;
-use std::collections::BTreeMap;
+use crate::row::Row;
+use crate::schema::{Schema, Value};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// What extra leakage the analyst is willing to accept from query plans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -151,37 +153,77 @@ impl Statistics {
     }
 
     /// Derives stats for every indexable column of `table` from plaintext
-    /// rows (the analyst's logical copy of its own data).
-    pub fn observe_table(
-        &mut self,
-        table: &str,
-        schema: &crate::schema::Schema,
-        rows: &[crate::row::Row],
-    ) {
-        for (ci, col) in schema.columns().iter().enumerate() {
-            let mut distinct = std::collections::BTreeSet::new();
-            let mut min = i64::MAX;
-            let mut max = i64::MIN;
-            for row in rows {
-                if let Some(v) = row.value(ci).and_then(crate::schema::Value::as_i64) {
-                    distinct.insert(v);
-                    min = min.min(v);
-                    max = max.max(v);
-                }
-            }
-            if distinct.is_empty() {
-                continue;
-            }
-            self.record(
-                table,
-                &col.name,
-                ColumnStats {
-                    rows: rows.len() as u64,
-                    distinct: distinct.len() as u64,
+    /// rows (the analyst's logical copy of its own data): a one-shot use of
+    /// [`RunningTableStats`].
+    pub fn observe_table(&mut self, table: &str, schema: &Schema, rows: &[Row]) {
+        let mut running = RunningTableStats::new(schema);
+        running.observe(rows);
+        running.record_into(table, self);
+    }
+}
+
+/// Per-column statistics of one table, kept up to date as its rows arrive.
+///
+/// This is the one derivation of [`ColumnStats`] from plaintext rows.  A
+/// caller that watches an append-only table feeds it each new slice of rows
+/// once, and can then write the stats of every row seen so far into a
+/// [`Statistics`] in O(columns): the cost of a refresh is the number of rows
+/// appended since the last one, not the size of the table.
+#[derive(Debug, Clone)]
+pub struct RunningTableStats {
+    rows: u64,
+    columns: Vec<RunningColumn>,
+}
+
+/// The running state of one column: every distinct `i64` image seen, in
+/// order, so the smallest and largest are its ends.
+#[derive(Debug, Clone)]
+struct RunningColumn {
+    name: String,
+    distinct: BTreeSet<i64>,
+}
+
+impl RunningTableStats {
+    /// Empty running stats for a table with `schema`.
+    pub fn new(schema: &Schema) -> Self {
+        Self {
+            rows: 0,
+            columns: schema
+                .columns()
+                .iter()
+                .map(|col| RunningColumn {
+                    name: col.name.clone(),
+                    distinct: BTreeSet::new(),
+                })
+                .collect(),
+        }
+    }
+
+    /// Folds `rows`, the table's next rows in order, into the stats.
+    pub fn observe(&mut self, rows: &[Row]) {
+        self.rows += rows.len() as u64;
+        for (ci, col) in self.columns.iter_mut().enumerate() {
+            col.distinct.extend(
+                rows.iter()
+                    .filter_map(|row| row.value(ci).and_then(Value::as_i64)),
+            );
+        }
+    }
+
+    /// Records (or replaces) the stats of every column that has seen a value
+    /// with an `i64` image, as `table`'s stats in `stats`.  Floats, text and
+    /// all-NULL columns get none.
+    pub fn record_into(&self, table: &str, stats: &mut Statistics) {
+        for col in &self.columns {
+            if let (Some(&min), Some(&max)) = (col.distinct.first(), col.distinct.last()) {
+                let column = ColumnStats {
+                    rows: self.rows,
+                    distinct: col.distinct.len() as u64,
                     min,
                     max,
-                },
-            );
+                };
+                stats.record(table, &col.name, column);
+            }
         }
     }
 }
@@ -312,8 +354,7 @@ impl Planner {
 mod tests {
     use super::*;
     use crate::query::{paper_queries, Predicate};
-    use crate::row::Row;
-    use crate::schema::{DataType, Schema, Value};
+    use crate::schema::DataType;
 
     fn stats_with(table: &str, column: &str, stats: ColumnStats) -> Statistics {
         let mut s = Statistics::new();
@@ -484,6 +525,82 @@ mod tests {
         assert!(stats.get("yellow", "fare").is_none());
         // Timestamp columns do.
         assert!(stats.get("yellow", "pick_time").is_some());
+    }
+
+    /// The statistics of `rows` derived directly: one set per column over
+    /// all the rows at once.
+    fn rescanned(table: &str, schema: &Schema, rows: &[Row]) -> Statistics {
+        let mut stats = Statistics::new();
+        for (ci, col) in schema.columns().iter().enumerate() {
+            let values: BTreeSet<i64> = rows
+                .iter()
+                .filter_map(|row| row.value(ci).and_then(Value::as_i64))
+                .collect();
+            if let (Some(&min), Some(&max)) = (values.first(), values.last()) {
+                let column = ColumnStats {
+                    rows: rows.len() as u64,
+                    distinct: values.len() as u64,
+                    min,
+                    max,
+                };
+                stats.record(table, &col.name, column);
+            }
+        }
+        stats
+    }
+
+    #[test]
+    fn running_stats_fed_in_chunks_equal_a_rescan() {
+        let schema = Schema::from_pairs(&[
+            ("pick_time", DataType::Timestamp),
+            ("pickup_id", DataType::Int),
+            ("fare", DataType::Float),
+            ("paid", DataType::Bool),
+            ("late", DataType::Int),
+        ]);
+        // `pickup_id` is NULL on every third row; `late` is NULL until row 20.
+        let rows: Vec<Row> = (0..58u64)
+            .map(|i| {
+                Row::new(vec![
+                    Value::Timestamp(1_000 - 7 * i),
+                    if i % 3 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int((i as i64 * 37) % 23 - 11)
+                    },
+                    Value::Float(i as f64 / 4.0),
+                    Value::Bool(i % 5 == 0),
+                    if i < 20 {
+                        Value::Null
+                    } else {
+                        Value::Int(i as i64)
+                    },
+                ])
+            })
+            .collect();
+
+        let mut running = RunningTableStats::new(&schema);
+        let mut empty = Statistics::new();
+        running.record_into("t", &mut empty);
+        assert_eq!(empty, Statistics::new(), "an empty table has no stats");
+
+        let mut seen = 0;
+        for chunk in [0, 1, 7, 50, 0] {
+            running.observe(&rows[seen..seen + chunk]);
+            seen += chunk;
+            let mut stats = Statistics::new();
+            running.record_into("t", &mut stats);
+            assert_eq!(stats, rescanned("t", &schema, &rows[..seen]), "{seen} rows");
+            let mut one_shot = Statistics::new();
+            one_shot.observe_table("t", &schema, &rows[..seen]);
+            assert_eq!(stats, one_shot, "{seen} rows");
+            assert!(stats.get("t", "fare").is_none());
+        }
+        assert_eq!(seen, rows.len());
+        let mut stats = Statistics::new();
+        running.record_into("t", &mut stats);
+        assert_eq!(stats.get("t", "late").unwrap().distinct, 38);
+        assert_eq!(stats.get("t", "paid").unwrap().distinct, 2);
     }
 
     #[test]

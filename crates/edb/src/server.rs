@@ -121,11 +121,6 @@ impl ServerStorage {
         Ok(shard)
     }
 
-    /// The shard handle for `table`, when the table exists.
-    pub fn existing_shard(&self, table: &str) -> Option<ShardHandle> {
-        self.shards.read().get(table).map(Arc::clone)
-    }
-
     /// Appends ciphertexts to a table and records the update observation,
     /// returning only once the batch is **durable** on the backend.
     ///
@@ -155,7 +150,7 @@ impl ServerStorage {
 
     /// Runs `f` over the shard of `table`, if present (read-locked).
     pub fn with_shard<R>(&self, name: &str, f: impl FnOnce(&dyn TableStore) -> R) -> Option<R> {
-        let shard = self.existing_shard(name)?;
+        let shard = self.shards.read().get(name).map(Arc::clone)?;
         let guard = shard.read();
         Some(f(&**guard))
     }

@@ -5,13 +5,13 @@
 //! fetches happen to defer can linger in the local cache indefinitely.  This
 //! binary quantifies that trade-off on the full workload.
 //!
-//! Usage: `cargo run --release -p dpsync-bench --bin exp_ablation_flush [--scale N] [--seed S] [--backend {memory,disk}] [--transport {inproc,tcp}]`
+//! Usage: `cargo run --release -p dpsync-bench --bin exp_ablation_flush [--scale N] [--seed S] [--backend {memory,disk,disk-group}] [--transport {inproc,tcp}]`
 
 use dpsync_bench::experiments::ablation::{ablation_table, flush_ablation};
-use dpsync_bench::ExperimentConfig;
+use dpsync_bench::{ExperimentConfig, FlagSet};
 
 fn main() {
-    let config = ExperimentConfig::from_args(std::env::args().skip(1));
+    let config = ExperimentConfig::from_env("exp_ablation_flush", FlagSet::Simulation);
     println!(
         "Ablation — cache-flush mechanism (scale 1/{}, epsilon = {}, f = {}, s = {})\n",
         config.scale.max(1),

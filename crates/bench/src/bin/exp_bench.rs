@@ -15,86 +15,85 @@
 //! git short SHA, then `local`).  `compare` prints one line per benchmark and
 //! exits with status 2 when any benchmark's throughput fell more than the
 //! tolerance below the baseline (or disappeared); malformed or missing
-//! report files exit with status 1 and a readable error.
+//! report files exit with status 1 and a readable error.  Like every binary
+//! in the crate, an argument the parser rejects exits with status 2.
 
+use dpsync_bench::cli::{self, unknown, Args, CliError};
 use dpsync_bench::perf::{self, SuiteConfig, Tolerance};
 use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("compare") => run_compare(&args[1..]),
-        Some("--help" | "-h" | "help") => {
-            print_help();
-            ExitCode::SUCCESS
+const USAGE: &str = "exp_bench — DP-Sync performance telemetry\n\n\
+     USAGE:\n\
+     \x20 exp_bench [run] [--smoke] [--label L] [--out PATH] [--seed S] [--jobs J]\n\
+     \x20 exp_bench compare <baseline.json> <current.json> [--tolerance 25%]\n\n\
+     `run` writes BENCH_<label>.json; `compare` exits 2 on regression,\n\
+     1 on unreadable/malformed reports.";
+
+enum Command {
+    Run {
+        config: SuiteConfig,
+        out: Option<String>,
+    },
+    Compare {
+        paths: Vec<String>,
+        tolerance: Tolerance,
+    },
+}
+
+fn parse(args: &mut Args) -> Result<Command, CliError> {
+    let mut next = args.next_arg()?;
+    match next.as_deref() {
+        Some("help") => return Err(CliError::Help),
+        Some("compare") => {
+            let (mut paths, mut tolerance) = (Vec::new(), Tolerance(0.25));
+            while let Some(arg) = args.next_arg()? {
+                match arg.as_str() {
+                    "--tolerance" => tolerance = args.value_with(&arg, Tolerance::parse)?,
+                    _ if !arg.starts_with('-') => paths.push(arg),
+                    _ => return Err(unknown(&arg)),
+                }
+            }
+            return Ok(Command::Compare { paths, tolerance });
         }
-        Some("run") => run_suite(&args[1..]),
-        _ => run_suite(&args),
+        Some("run") => next = args.next_arg()?,
+        _ => {}
     }
-}
-
-fn print_help() {
-    println!(
-        "exp_bench — DP-Sync performance telemetry\n\n\
-         USAGE:\n\
-         \x20 exp_bench [run] [--smoke] [--label L] [--out PATH] [--seed S] [--jobs J]\n\
-         \x20 exp_bench compare <baseline.json> <current.json> [--tolerance 25%]\n\n\
-         `run` writes BENCH_<label>.json; `compare` exits 2 on regression,\n\
-         1 on unreadable/malformed reports."
-    );
-}
-
-fn run_suite(args: &[String]) -> ExitCode {
-    let mut config = SuiteConfig {
-        label: default_label(),
-        ..Default::default()
-    };
-    let mut out_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let (mut config, mut label, mut out) = (SuiteConfig::default(), None, None);
+    while let Some(flag) = next {
+        match flag.as_str() {
             "--smoke" => config.smoke = true,
-            "--label" => {
-                if let Some(v) = args.get(i + 1) {
-                    config.label = v.clone();
-                    i += 1;
-                }
-            }
-            "--out" => {
-                if let Some(v) = args.get(i + 1) {
-                    out_path = Some(v.clone());
-                    i += 1;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-                    config.seed = v;
-                    i += 1;
-                }
-            }
+            "--label" => label = Some(args.string(&flag)?),
+            "--out" => out = Some(args.string(&flag)?),
+            "--seed" => config.seed = args.value(&flag)?,
             "--jobs" => {
-                if let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-                    dpsync_bench::pool::set_worker_override(std::num::NonZeroUsize::new(v));
-                    i += 1;
-                }
+                dpsync_bench::pool::set_worker_override(std::num::NonZeroUsize::new(
+                    args.value(&flag)?,
+                ));
             }
-            other => {
-                eprintln!("error: unknown argument `{other}` (see `exp_bench --help`)");
-                return ExitCode::FAILURE;
-            }
+            _ => return Err(unknown(&flag)),
         }
-        i += 1;
+        next = args.next_arg()?;
     }
-    config.label = perf::sanitize_label(&config.label);
-    let out_path = out_path.unwrap_or_else(|| format!("BENCH_{}.json", config.label));
+    config.label = perf::sanitize_label(&label.unwrap_or_else(default_label));
+    Ok(Command::Run { config, out })
+}
 
+fn main() -> ExitCode {
+    match cli::parse_env("exp_bench", USAGE, parse) {
+        Command::Run { config, out } => run_suite(&config, out),
+        Command::Compare { paths, tolerance } => run_compare(&paths, tolerance),
+    }
+}
+
+fn run_suite(config: &SuiteConfig, out_path: Option<String>) -> ExitCode {
+    let out_path = out_path.unwrap_or_else(|| format!("BENCH_{}.json", config.label));
     println!(
         "Running the {} perf suite (label `{}`, seed {}) ...\n",
         if config.smoke { "smoke" } else { "full" },
         config.label,
         config.seed
     );
-    let report = perf::run_suite(&config);
+    let report = perf::run_suite(config);
     print!("{}", report.to_table().render());
     match std::fs::write(&out_path, report.to_json()) {
         Ok(()) => {
@@ -108,31 +107,8 @@ fn run_suite(args: &[String]) -> ExitCode {
     }
 }
 
-fn run_compare(args: &[String]) -> ExitCode {
-    let mut paths: Vec<&String> = Vec::new();
-    let mut tolerance = Tolerance(0.25);
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tolerance" => {
-                let Some(raw) = args.get(i + 1) else {
-                    eprintln!("error: --tolerance needs a value (e.g. `--tolerance 25%`)");
-                    return ExitCode::FAILURE;
-                };
-                match Tolerance::parse(raw) {
-                    Ok(t) => tolerance = t,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                i += 1;
-            }
-            _ => paths.push(&args[i]),
-        }
-        i += 1;
-    }
-    let [baseline_path, current_path] = paths.as_slice() else {
+fn run_compare(paths: &[String], tolerance: Tolerance) -> ExitCode {
+    let [baseline_path, current_path] = paths else {
         eprintln!(
             "error: compare needs exactly two report paths, got {} (see `exp_bench --help`)",
             paths.len()

@@ -26,14 +26,15 @@
 //!
 //! Exits nonzero when any invariant fails, so CI can gate on it directly.
 
-use dpsync_bench::perf::format_throughput;
+use dpsync_bench::cli::{self, unknown, Args, CliError};
+use dpsync_bench::perf::{connect_with_retry, format_throughput, percentile};
 use dpsync_bench::report::TextTable;
 use dpsync_crypto::{MasterKey, RecordCryptor};
 use dpsync_edb::engines::base::encrypt_batch;
 use dpsync_edb::engines::ObliDbEngine;
 use dpsync_edb::sogdb::SecureOutsourcedDatabase;
 use dpsync_edb::{DataType, Row, Schema, Value};
-use dpsync_net::{EdbTcpServer, EngineProvider, MuxConnection, MuxSession, ServeOptions};
+use dpsync_net::{EdbTcpServer, EngineProvider, MuxSession, ServeOptions};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -45,72 +46,28 @@ struct Config {
     seed: u64,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            connections: 1000,
-            mux: 2,
-            ticks: 3,
-            drivers: 16,
-            seed: 2021,
+fn parse(args: &mut Args) -> Result<Config, CliError> {
+    let mut config = Config {
+        connections: 1000,
+        mux: 2,
+        ticks: 3,
+        drivers: 16,
+        seed: 2021,
+    };
+    while let Some(flag) = args.next_arg()? {
+        match flag.as_str() {
+            "--connections" => config.connections = args.value(&flag)?,
+            "--mux" => config.mux = args.value(&flag)?,
+            "--ticks" => config.ticks = args.value(&flag)?,
+            "--drivers" => config.drivers = args.value(&flag)?,
+            "--seed" => config.seed = args.value(&flag)?,
+            _ => return Err(unknown(&flag)),
         }
-    }
-}
-
-fn parse_args() -> Config {
-    let mut config = Config::default();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: usize| -> Option<&String> { args.get(i + 1) };
-        match args[i].as_str() {
-            "--connections" => {
-                if let Some(v) = value(i).and_then(|v| v.parse().ok()) {
-                    config.connections = v;
-                    i += 1;
-                }
-            }
-            "--mux" => {
-                if let Some(v) = value(i).and_then(|v| v.parse().ok()) {
-                    config.mux = v;
-                    i += 1;
-                }
-            }
-            "--ticks" => {
-                if let Some(v) = value(i).and_then(|v| v.parse().ok()) {
-                    config.ticks = v;
-                    i += 1;
-                }
-            }
-            "--drivers" => {
-                if let Some(v) = value(i).and_then(|v| v.parse().ok()) {
-                    config.drivers = v;
-                    i += 1;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = value(i).and_then(|v| v.parse().ok()) {
-                    config.seed = v;
-                    i += 1;
-                }
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: exp_c10k [--connections 1000] [--mux 2] [--ticks 3] [--drivers 16] [--seed S]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("exp_c10k: unknown argument `{other}` (see --help)");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
     }
     config.connections = config.connections.max(1);
     config.mux = config.mux.max(1);
     config.drivers = config.drivers.clamp(1, config.connections);
-    config
+    Ok(config)
 }
 
 fn schema() -> Schema {
@@ -213,38 +170,16 @@ fn reference_transcript(
     engine
 }
 
-/// Dials the in-process server, retrying briefly: a thousand simultaneous
-/// SYNs can overflow the listen backlog, and the kernel answers that with
-/// drops the client must absorb.
-fn connect_with_retry(addr: std::net::SocketAddr) -> MuxConnection {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        match MuxConnection::connect_with_timeout(addr, Some(Duration::from_secs(60))) {
-            Ok(conn) => return conn,
-            Err(e) => {
-                if Instant::now() > deadline {
-                    panic!("cannot connect to the loopback server: {e}");
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
-    }
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
 fn format_ms(ns: u64) -> String {
     format!("{:.3} ms", ns as f64 / 1e6)
 }
 
 fn main() {
-    let config = parse_args();
+    let config = cli::parse_env(
+        "exp_c10k",
+        "usage: exp_c10k [--connections 1000] [--mux 2] [--ticks 3] [--drivers 16] [--seed S]",
+        parse,
+    );
     let sessions_total = config.connections * config.mux;
     println!(
         "C10k reactor load — {} connections x {} sessions, {} ticks, {} drivers (seed {})\n",

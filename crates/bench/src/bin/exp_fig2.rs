@@ -4,14 +4,14 @@
 //! Output is one CSV block per panel (`time` column plus one column per
 //! strategy), ready to plot.
 //!
-//! Usage: `cargo run --release -p dpsync-bench --bin exp_fig2 [--scale N] [--seed S] [--backend {memory,disk}] [--transport {inproc,tcp}]`
+//! Usage: `cargo run --release -p dpsync-bench --bin exp_fig2 [--scale N] [--seed S] [--backend {memory,disk,disk-group}] [--transport {inproc,tcp}]`
 
 use dpsync_bench::experiments::config::EngineKind;
 use dpsync_bench::experiments::end_to_end::{figure2_series, run_end_to_end, Fig2Metric};
-use dpsync_bench::ExperimentConfig;
+use dpsync_bench::{ExperimentConfig, FlagSet};
 
 fn main() {
-    let config = ExperimentConfig::from_args(std::env::args().skip(1));
+    let config = ExperimentConfig::from_env("exp_fig2", FlagSet::Simulation);
     let results = run_end_to_end(config);
     for (engine, reports) in &results {
         let queries: &[&str] = match engine {

@@ -3,13 +3,13 @@
 //! should land near the lower-left corner (close to SUR), SET in the lower
 //! right, OTO in the upper left.
 //!
-//! Usage: `cargo run --release -p dpsync-bench --bin exp_fig4 [--scale N] [--seed S] [--backend {memory,disk}] [--transport {inproc,tcp}]`
+//! Usage: `cargo run --release -p dpsync-bench --bin exp_fig4 [--scale N] [--seed S] [--backend {memory,disk,disk-group}] [--transport {inproc,tcp}]`
 
 use dpsync_bench::experiments::end_to_end::{figure4_legend, figure4_series, run_end_to_end};
-use dpsync_bench::ExperimentConfig;
+use dpsync_bench::{ExperimentConfig, FlagSet};
 
 fn main() {
-    let config = ExperimentConfig::from_args(std::env::args().skip(1));
+    let config = ExperimentConfig::from_env("exp_fig4", FlagSet::Simulation);
     for (engine, reports) in run_end_to_end(config) {
         print!("{}", figure4_series(engine, &reports).render());
         for line in figure4_legend(&reports) {

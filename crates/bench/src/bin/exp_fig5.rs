@@ -3,16 +3,16 @@
 //! and reports the mean L1 error (panel a) and the mean QET (panel b), with
 //! the ε-independent SUR / SET / OTO baselines for reference.
 //!
-//! Usage: `cargo run --release -p dpsync-bench --bin exp_fig5 [--scale N] [--seed S] [--backend {memory,disk}] [--transport {inproc,tcp}]`
+//! Usage: `cargo run --release -p dpsync-bench --bin exp_fig5 [--scale N] [--seed S] [--backend {memory,disk,disk-group}] [--transport {inproc,tcp}]`
 
 use dpsync_bench::experiments::sweeps::{
     baseline_points, figure5_epsilons, privacy_sweep, sweep_series,
 };
-use dpsync_bench::ExperimentConfig;
+use dpsync_bench::{ExperimentConfig, FlagSet};
 use dpsync_core::strategy::StrategyKind;
 
 fn main() {
-    let config = ExperimentConfig::from_args(std::env::args().skip(1));
+    let config = ExperimentConfig::from_env("exp_fig5", FlagSet::Simulation);
     let epsilons = figure5_epsilons();
 
     for strategy in [StrategyKind::DpTimer, StrategyKind::DpAnt] {

@@ -3,15 +3,15 @@
 //! the DP-ANT threshold θ (panels b, d), swept from 1 to 1000 with ε = 0.5 on
 //! the ObliDB engine and the default query Q2.
 //!
-//! Usage: `cargo run --release -p dpsync-bench --bin exp_fig6 [--scale N] [--seed S] [--backend {memory,disk}] [--transport {inproc,tcp}]`
+//! Usage: `cargo run --release -p dpsync-bench --bin exp_fig6 [--scale N] [--seed S] [--backend {memory,disk,disk-group}] [--transport {inproc,tcp}]`
 
 use dpsync_bench::experiments::sweeps::{
     ant_threshold_sweep, baseline_points, figure6_parameters, sweep_series, timer_period_sweep,
 };
-use dpsync_bench::ExperimentConfig;
+use dpsync_bench::{ExperimentConfig, FlagSet};
 
 fn main() {
-    let config = ExperimentConfig::from_args(std::env::args().skip(1));
+    let config = ExperimentConfig::from_env("exp_fig6", FlagSet::Simulation);
     let parameters = figure6_parameters();
 
     let timer_points = timer_period_sweep(config, &parameters);

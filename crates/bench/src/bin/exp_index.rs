@@ -40,19 +40,18 @@
 //! exp_index [--seed 2021] [--smoke] [--out FILE]
 //! ```
 
+use dpsync_bench::cli::{self, unknown, Args, CliError};
 use dpsync_bench::perf::{
-    median_ns, synthetic_rows, taxi_like_schema, BenchReport, BenchResult, REPORT_VERSION,
+    format_us, ingest_batches, loaded_engine, median_ns, median_read_ns, record_count,
+    register_indexes, time_ingest, BenchReport, BenchResult, MAINTAINED_INDEXES, REPORT_VERSION,
 };
 use dpsync_bench::report::TextTable;
-use dpsync_crypto::{MasterKey, RecordCryptor};
+use dpsync_crypto::MasterKey;
 use dpsync_dp::DpRng;
-use dpsync_edb::engines::base::encrypt_batch;
 use dpsync_edb::engines::ObliDbEngine;
 use dpsync_edb::query::paper_queries;
 use dpsync_edb::sogdb::SecureOutsourcedDatabase;
-use dpsync_edb::{IndexDef, Predicate, Query, Value};
-use std::hint::black_box;
-use std::time::Instant;
+use dpsync_edb::{Predicate, Query, Value};
 
 struct Config {
     seed: u64,
@@ -60,61 +59,21 @@ struct Config {
     out: Option<String>,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            seed: 2021,
-            smoke: false,
-            out: None,
-        }
-    }
-}
-
-const USAGE: &str = "usage: exp_index [--seed S] [--smoke] [--out FILE]";
-
-fn parse_args() -> Config {
-    let mut config = Config::default();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: usize| -> Option<&String> { args.get(i + 1) };
-        match args[i].as_str() {
-            "--seed" => match value(i).and_then(|v| v.parse().ok()) {
-                Some(v) => {
-                    config.seed = v;
-                    i += 1;
-                }
-                None => {
-                    eprintln!(
-                        "exp_index: invalid value {:?} for `--seed` (see --help)",
-                        value(i).map(String::as_str).unwrap_or("<missing>")
-                    );
-                    std::process::exit(2);
-                }
-            },
+fn parse(args: &mut Args) -> Result<Config, CliError> {
+    let mut config = Config {
+        seed: 2021,
+        smoke: false,
+        out: None,
+    };
+    while let Some(flag) = args.next_arg()? {
+        match flag.as_str() {
+            "--seed" => config.seed = args.value(&flag)?,
             "--smoke" => config.smoke = true,
-            "--out" => match value(i) {
-                Some(v) => {
-                    config.out = Some(v.clone());
-                    i += 1;
-                }
-                None => {
-                    eprintln!("exp_index: `--out` needs a file path (see --help)");
-                    std::process::exit(2);
-                }
-            },
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("exp_index: unknown argument `{other}` (see --help)");
-                std::process::exit(2);
-            }
+            "--out" => config.out = Some(args.string(&flag)?),
+            _ => return Err(unknown(&flag)),
         }
-        i += 1;
     }
-    config
+    Ok(config)
 }
 
 /// One swept table size: per-query latencies (ns) for scan and indexed reads.
@@ -128,23 +87,6 @@ struct SizePoint {
 
 const INDEX: &str = "emm_pickup";
 
-fn loaded_engine(rows: usize, seed: u64) -> ObliDbEngine {
-    let master = MasterKey::from_bytes([0xC4; 32]);
-    let mut cryptor = RecordCryptor::new(&master);
-    let engine = ObliDbEngine::new(&master);
-    engine
-        .setup(
-            "index",
-            taxi_like_schema(),
-            encrypt_batch(&mut cryptor, &synthetic_rows(rows, seed), rows / 4),
-        )
-        .expect("fresh engine");
-    engine
-        .register_index(&IndexDef::new(INDEX, "index", "pickup_id").expect("valid index"))
-        .expect("index registers");
-    engine
-}
-
 fn point_query() -> Query {
     Query::Count {
         table: "index".into(),
@@ -153,19 +95,10 @@ fn point_query() -> Query {
 }
 
 fn sweep_size(rows: usize, samples: usize, reps: usize, seed: u64) -> SizePoint {
-    let engine = loaded_engine(rows, seed);
+    let engine = loaded_engine("index", rows, seed);
+    register_indexes(&engine, "index", &[(INDEX, "pickup_id")]);
     let q1 = paper_queries::q1_range_count("index");
     let point = point_query();
-    let time_queries = |run: &dyn Fn(&mut DpRng)| -> f64 {
-        median_ns(samples, || {
-            let mut rng = DpRng::seed_from_u64(seed);
-            let started = Instant::now();
-            for _ in 0..reps {
-                run(&mut rng);
-            }
-            started.elapsed()
-        }) / reps as f64
-    };
     // Answers are pinned equal before any timing: the indexed read must
     // reproduce the scan bit for bit at every swept size.
     for query in [&q1, &point] {
@@ -182,78 +115,40 @@ fn sweep_size(rows: usize, samples: usize, reps: usize, seed: u64) -> SizePoint 
     }
     SizePoint {
         rows,
-        scan_q1_ns: time_queries(&|rng| {
-            black_box(engine.query(&q1, rng).expect("scan succeeds"));
+        scan_q1_ns: median_read_ns(samples, reps, seed, |rng| engine.query(&q1, rng)),
+        read_q1_ns: median_read_ns(samples, reps, seed, |rng| {
+            engine.query_indexed(INDEX, &q1, rng)
         }),
-        read_q1_ns: time_queries(&|rng| {
-            black_box(
-                engine
-                    .query_indexed(INDEX, &q1, rng)
-                    .expect("indexed read succeeds"),
-            );
-        }),
-        scan_point_ns: time_queries(&|rng| {
-            black_box(engine.query(&point, rng).expect("scan succeeds"));
-        }),
-        read_point_ns: time_queries(&|rng| {
-            black_box(
-                engine
-                    .query_indexed(INDEX, &point, rng)
-                    .expect("indexed read succeeds"),
-            );
+        scan_point_ns: median_read_ns(samples, reps, seed, |rng| engine.query(&point, rng)),
+        read_point_ns: median_read_ns(samples, reps, seed, |rng| {
+            engine.query_indexed(INDEX, &point, rng)
         }),
     }
 }
 
-/// Per-record ingest cost (ns) with and without two indexes registered.
-/// Batches mirror the suite's `Π_Update` shape: small flushes, 25% dummies.
+/// Per-record ingest cost (ns) with and without two indexes registered,
+/// over 96 batches of the suite's `Π_Update` shape: small flushes, 25% dummies.
 fn maintenance_overhead(samples: usize, seed: u64) -> (f64, f64) {
-    const BATCHES: usize = 96;
-    const BATCH_SIZE: usize = 8;
     let master = MasterKey::from_bytes([0xB3; 32]);
-    let mut cryptor = RecordCryptor::new(&master);
-    let batches: Vec<Vec<dpsync_crypto::EncryptedRecord>> = (0..BATCHES)
-        .map(|b| {
-            let rows = synthetic_rows(BATCH_SIZE * 3 / 4, seed ^ (b as u64).wrapping_mul(0x9e37));
-            encrypt_batch(&mut cryptor, &rows, BATCH_SIZE / 4)
-        })
-        .collect();
-    let records: u64 = batches.iter().map(|b| b.len() as u64).sum();
-    let ingest = |with_indexes: bool| -> f64 {
+    let batches = ingest_batches(96, 8, seed, &master);
+    let ingest = |with_indexes: bool| {
         median_ns(samples, || {
-            let engine = ObliDbEngine::new(&master);
-            engine
-                .setup("index", taxi_like_schema(), Vec::new())
-                .expect("fresh engine");
-            if with_indexes {
-                for (name, column) in [("emm_pickup", "pickup_id"), ("emm_dropoff", "dropoff_id")] {
-                    let def = IndexDef::new(name, "index", column).expect("indexable column");
-                    engine.register_index(&def).expect("index registers");
+            time_ingest(&ObliDbEngine::new(&master), "index", &batches, |e| {
+                if with_indexes {
+                    register_indexes(e, "index", &MAINTAINED_INDEXES);
                 }
-            }
-            let cloned: Vec<_> = batches.to_vec();
-            let started = Instant::now();
-            for (time, batch) in cloned.into_iter().enumerate() {
-                engine
-                    .update("index", time as u64 + 1, batch)
-                    .expect("ingest succeeds");
-            }
-            let elapsed = started.elapsed();
-            black_box(engine.table_stats("index").ciphertext_count);
-            elapsed
-        }) / records as f64
+            })
+        }) / record_count(&batches) as f64
     };
-    let plain = ingest(false);
-    let indexed = ingest(true);
-    (plain, indexed)
-}
-
-fn format_us(ns: f64) -> String {
-    format!("{:.2} µs", ns / 1e3)
+    (ingest(false), ingest(true))
 }
 
 fn main() {
-    let config = parse_args();
+    let config = cli::parse_env(
+        "exp_index",
+        "usage: exp_index [--seed S] [--smoke] [--out FILE]",
+        parse,
+    );
     let (sizes, samples, reps): (&[usize], usize, usize) = if config.smoke {
         (&[1_000, 4_000, 16_000], 5, 8)
     } else {

@@ -47,16 +47,16 @@
 //! so at 10^5+ owners prefer SUR/OTO/DP-Timer.  Exits nonzero when the
 //! self-check diverges or (TCP) the server reaps connections or panics.
 
-use dpsync_bench::perf::{format_throughput, BenchReport, BenchResult, REPORT_VERSION};
+use dpsync_bench::cli::{self, unknown, Args, CliError};
+use dpsync_bench::perf::{
+    connect_with_retry, format_throughput, percentile, BenchReport, BenchResult, REPORT_VERSION,
+};
 use dpsync_bench::report::TextTable;
+use dpsync_bench::{StrategyParams, TransportKind};
 use dpsync_core::simulation::{Simulation, SimulationConfig};
 use dpsync_core::sparse::OwnerWorkload;
-use dpsync_core::strategy::{
-    AboveNoisyThresholdStrategy, CacheFlush, DpTimerStrategy, EveryTick, OneTimeOutsourcing,
-    StrategyKind, SyncStrategy, SynchronizeEveryTime, SynchronizeUponReceipt,
-};
+use dpsync_core::strategy::{EveryTick, StrategyKind};
 use dpsync_crypto::{EncryptedRecord, MasterKey};
-use dpsync_dp::Epsilon;
 use dpsync_edb::cost::CostModel;
 use dpsync_edb::engines::ObliDbEngine;
 use dpsync_edb::leakage::LeakageProfile;
@@ -69,18 +69,12 @@ use rand::RngCore;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-#[derive(Clone, Copy, PartialEq)]
-enum Transport {
-    Inproc,
-    Tcp,
-}
-
 struct Config {
     owners: usize,
     horizon: u64,
     strategy: StrategyKind,
     seed: u64,
-    transport: Transport,
+    transport: TransportKind,
     connections: usize,
     mux: usize,
     views: bool,
@@ -95,7 +89,7 @@ impl Default for Config {
             horizon: 1440,
             strategy: StrategyKind::DpTimer,
             seed: 2021,
-            transport: Transport::Inproc,
+            transport: TransportKind::Inproc,
             connections: 64,
             mux: 4,
             views: false,
@@ -110,146 +104,57 @@ const USAGE: &str =
      [--seed S] [--transport inproc|tcp] [--connections N] [--mux M] [--views] [--smoke] \
      [--out FILE]";
 
-fn parse_args() -> Config {
+fn parse(args: &mut Args) -> Result<Config, CliError> {
     let mut config = Config::default();
-    let mut owners_explicit = false;
-    let mut horizon_explicit = false;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let bad = |flag: &str, v: Option<&String>| -> ! {
-        eprintln!(
-            "exp_scale: invalid value {:?} for `{flag}` (see --help)",
-            v.map(String::as_str).unwrap_or("<missing>")
-        );
-        std::process::exit(2);
-    };
-    while i < args.len() {
-        let value = |i: usize| -> Option<&String> { args.get(i + 1) };
-        match args[i].as_str() {
-            "--owners" => match value(i).and_then(|v| v.parse().ok()) {
-                Some(v) => {
-                    config.owners = v;
-                    owners_explicit = true;
-                    i += 1;
-                }
-                None => bad("--owners", value(i)),
-            },
-            "--horizon" => match value(i).and_then(|v| v.parse().ok()) {
-                Some(v) => {
-                    config.horizon = v;
-                    horizon_explicit = true;
-                    i += 1;
-                }
-                None => bad("--horizon", value(i)),
-            },
-            "--strategy" => match value(i).map(String::as_str) {
-                Some("sur") => {
-                    config.strategy = StrategyKind::Sur;
-                    i += 1;
-                }
-                Some("oto") => {
-                    config.strategy = StrategyKind::Oto;
-                    i += 1;
-                }
-                Some("set") => {
-                    config.strategy = StrategyKind::Set;
-                    i += 1;
-                }
-                Some("dp-timer") => {
-                    config.strategy = StrategyKind::DpTimer;
-                    i += 1;
-                }
-                Some("dp-ant") => {
-                    config.strategy = StrategyKind::DpAnt;
-                    i += 1;
-                }
-                v => bad("--strategy", v.map(|_| &args[i + 1])),
-            },
-            "--seed" => match value(i).and_then(|v| v.parse().ok()) {
-                Some(v) => {
-                    config.seed = v;
-                    i += 1;
-                }
-                None => bad("--seed", value(i)),
-            },
-            "--transport" => match value(i).map(String::as_str) {
-                Some("inproc") => {
-                    config.transport = Transport::Inproc;
-                    i += 1;
-                }
-                Some("tcp") => {
-                    config.transport = Transport::Tcp;
-                    i += 1;
-                }
-                v => bad("--transport", v.map(|_| &args[i + 1])),
-            },
-            "--connections" => match value(i).and_then(|v| v.parse().ok()) {
-                Some(v) => {
-                    config.connections = v;
-                    i += 1;
-                }
-                None => bad("--connections", value(i)),
-            },
-            "--mux" => match value(i).and_then(|v| v.parse().ok()) {
-                Some(v) => {
-                    config.mux = v;
-                    i += 1;
-                }
-                None => bad("--mux", value(i)),
-            },
+    let (mut owners, mut horizon) = (None, None);
+    while let Some(flag) = args.next_arg()? {
+        match flag.as_str() {
+            "--owners" => owners = Some(args.value(&flag)?),
+            "--horizon" => horizon = Some(args.value(&flag)?),
+            "--strategy" => {
+                config.strategy = args.value_with(&flag, |v| match v {
+                    "sur" => Ok(StrategyKind::Sur),
+                    "oto" => Ok(StrategyKind::Oto),
+                    "set" => Ok(StrategyKind::Set),
+                    "dp-timer" => Ok(StrategyKind::DpTimer),
+                    "dp-ant" => Ok(StrategyKind::DpAnt),
+                    _ => Err("expected sur, oto, set, dp-timer or dp-ant"),
+                })?;
+            }
+            "--seed" => config.seed = args.value(&flag)?,
+            "--transport" => {
+                config.transport = args.value_with(&flag, |v| {
+                    TransportKind::parse(v).ok_or("expected inproc or tcp")
+                })?;
+            }
+            "--connections" => config.connections = args.value(&flag)?,
+            "--mux" => config.mux = args.value(&flag)?,
             "--views" => config.views = true,
             "--smoke" => config.smoke = true,
-            "--out" => match value(i) {
-                Some(v) => {
-                    config.out = Some(v.clone());
-                    i += 1;
-                }
-                None => bad("--out", None),
-            },
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("exp_scale: unknown argument `{other}` (see --help)");
-                std::process::exit(2);
-            }
+            "--out" => config.out = Some(args.string(&flag)?),
+            _ => return Err(unknown(&flag)),
         }
-        i += 1;
     }
+    // `--smoke` shrinks only the values not given explicitly.
     if config.smoke {
-        if !owners_explicit {
-            config.owners = 20_000;
-        }
-        if !horizon_explicit {
-            config.horizon = 480;
-        }
+        config.owners = 20_000;
+        config.horizon = 480;
     }
-    config.owners = config.owners.max(1);
-    config.horizon = config.horizon.max(8);
+    config.owners = owners.unwrap_or(config.owners).max(1);
+    config.horizon = horizon.unwrap_or(config.horizon).max(8);
     config.connections = config.connections.max(1);
     config.mux = config.mux.max(1);
-    config
+    Ok(config)
 }
 
-fn make_strategy(kind: StrategyKind) -> Box<dyn SyncStrategy> {
-    let eps = Epsilon::new_unchecked(1.0);
-    match kind {
-        StrategyKind::Sur => Box::new(SynchronizeUponReceipt::new()),
-        StrategyKind::Oto => Box::new(OneTimeOutsourcing::new()),
-        StrategyKind::Set => Box::new(SynchronizeEveryTime::new()),
-        StrategyKind::DpTimer => Box::new(DpTimerStrategy::with_flush(
-            eps,
-            30,
-            Some(CacheFlush::new(240, 15)),
-        )),
-        StrategyKind::DpAnt => Box::new(AboveNoisyThresholdStrategy::with_flush(
-            eps,
-            15,
-            Some(CacheFlush::new(240, 15)),
-        )),
-    }
-}
+/// Every owner's strategy parameters.
+const STRATEGY: StrategyParams = StrategyParams {
+    epsilon: 1.0,
+    timer_period: 30,
+    ant_threshold: 15,
+    flush_interval: 240,
+    flush_size: 15,
+};
 
 /// A pass-through engine decorator that timestamps every `Π_Update` call, so
 /// the harness can report request-latency percentiles without touching the
@@ -418,7 +323,7 @@ fn self_check(config: &Config) {
     let reference_engine = ObliDbEngine::new(&master);
     let reference = sim
         .run_sparse(&fleet, profile.horizon, &reference_engine, &master, |_| {
-            Box::new(EveryTick(make_strategy(config.strategy)))
+            Box::new(EveryTick(STRATEGY.build(config.strategy)))
         })
         .expect("reference run succeeds")
         .normalized();
@@ -426,7 +331,7 @@ fn self_check(config: &Config) {
     let sparse_engine = ObliDbEngine::new(&master);
     let sparse = sim
         .run_sparse(&fleet, profile.horizon, &sparse_engine, &master, |_| {
-            make_strategy(config.strategy)
+            STRATEGY.build(config.strategy)
         })
         .expect("sparse run succeeds")
         .normalized();
@@ -443,29 +348,6 @@ fn self_check(config: &Config) {
         "self-check: sparse and every-tick schedules byte-identical on {} churn owners / {} ticks",
         profile.owners, profile.horizon
     );
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-fn connect_with_retry(addr: std::net::SocketAddr) -> MuxConnection {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        match MuxConnection::connect_with_timeout(addr, Some(Duration::from_secs(60))) {
-            Ok(conn) => return conn,
-            Err(e) => {
-                if Instant::now() > deadline {
-                    panic!("cannot connect to the loopback server: {e}");
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
-    }
 }
 
 struct RunOutcome {
@@ -487,7 +369,7 @@ fn run_inproc(
     let started = Instant::now();
     let report = sim
         .run_sparse(fleet, config.horizon, &probe, master, |_| {
-            make_strategy(config.strategy)
+            STRATEGY.build(config.strategy)
         })
         .expect("simulation succeeds");
     RunOutcome {
@@ -552,7 +434,7 @@ fn run_tcp(
             &owner_engines,
             &analyst_probe,
             master,
-            |_| make_strategy(config.strategy),
+            |_| STRATEGY.build(config.strategy),
         )
         .expect("simulation succeeds");
     let wall = started.elapsed();
@@ -585,10 +467,10 @@ fn run_tcp(
 }
 
 fn main() {
-    let config = parse_args();
+    let config = cli::parse_env("exp_scale", USAGE, parse);
     let transport_label = match config.transport {
-        Transport::Inproc => "inproc".to_string(),
-        Transport::Tcp => format!("tcp ({}x{} sessions)", config.connections, config.mux),
+        TransportKind::Inproc => "inproc".to_string(),
+        TransportKind::Tcp => format!("tcp ({}x{} sessions)", config.connections, config.mux),
     };
     println!(
         "scale harness — {} owners, {} ticks, {} strategy, {} transport, analytics via {} (seed {})\n",
@@ -625,8 +507,8 @@ fn main() {
         fleet.len()
     );
     let outcome = match config.transport {
-        Transport::Inproc => run_inproc(&config, &fleet, &sim, &master),
-        Transport::Tcp => run_tcp(&config, &fleet, &sim, &master),
+        TransportKind::Inproc => run_inproc(&config, &fleet, &sim, &master),
+        TransportKind::Tcp => run_tcp(&config, &fleet, &sim, &master),
     };
 
     let report = &outcome.report;
@@ -678,8 +560,8 @@ fn main() {
         seed: config.seed,
         smoke: config.smoke,
         workers: match config.transport {
-            Transport::Inproc => 1,
-            Transport::Tcp => config.connections as u64,
+            TransportKind::Inproc => 1,
+            TransportKind::Tcp => config.connections as u64,
         },
         results: vec![
             BenchResult {

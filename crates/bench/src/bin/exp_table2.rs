@@ -10,10 +10,10 @@
 //! `--transport`/`--backend` flags — passing one is an error, not a no-op.
 
 use dpsync_bench::experiments::tables::table2_text;
-use dpsync_bench::ExperimentConfig;
+use dpsync_bench::{ExperimentConfig, FlagSet};
 
 fn main() {
-    let config = ExperimentConfig::from_args_analytic("exp_table2", std::env::args().skip(1));
+    let config = ExperimentConfig::from_env("exp_table2", FlagSet::Analytic);
     println!("Table 2 — comparison of synchronization strategies");
     println!(
         "(epsilon = {}, T = {}, theta = {}, flush f = {}, s = {}, beta = 0.05, horizon = {} minutes)\n",

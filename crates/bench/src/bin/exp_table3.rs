@@ -7,24 +7,21 @@
 //! and rejects any argument (including `--transport`/`--backend`) rather
 //! than silently ignoring it.
 
+use dpsync_bench::cli::{self, CliError};
 use dpsync_bench::experiments::tables::table3_text;
 
 fn main() {
-    if let Some(arg) = std::env::args().nth(1) {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                println!("usage: exp_table3 (no flags: the table is a static classification)");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!(
-                    "exp_table3: unknown argument `{other}` — Table 3 is a static \
-                     classification computed in process; the binary takes no flags"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    cli::parse_env(
+        "exp_table3",
+        "usage: exp_table3 (no flags: the table is a static classification)",
+        |args| match args.next_arg()? {
+            Some(arg) => Err(CliError::Invalid(format!(
+                "unknown argument `{arg}` — Table 3 is a static classification computed in \
+                 process; the binary takes no flags"
+            ))),
+            None => Ok(()),
+        },
+    );
     println!("Table 3 — leakage groups and corresponding encrypted database schemes\n");
     print!("{}", table3_text().render());
 }

@@ -17,7 +17,7 @@
 //! an error, not a no-op.
 
 use dpsync_bench::experiments::tables::{table4_text, verify_update_pattern_privacy};
-use dpsync_bench::ExperimentConfig;
+use dpsync_bench::{ExperimentConfig, FlagSet};
 use dpsync_core::simulation::{Simulation, SimulationConfig};
 use dpsync_core::sparse::OwnerWorkload;
 use dpsync_core::strategy::DpTimerStrategy;
@@ -77,8 +77,7 @@ fn indexed_run(seed: u64, policy: Option<LeakagePolicy>) -> AdversaryView {
 }
 
 fn main() {
-    let config =
-        ExperimentConfig::from_args_analytic("exp_table4_privacy", std::env::args().skip(1));
+    let config = ExperimentConfig::from_env("exp_table4_privacy", FlagSet::Analytic);
     let epsilon = 1.0;
     let trials = 20_000;
     println!(

@@ -5,13 +5,13 @@
 //! One simulated month per (strategy × engine) pair; at the default scale
 //! this replays the full 43 200-minute June-2020-shaped workload.
 //!
-//! Usage: `cargo run --release -p dpsync-bench --bin exp_table5 [--scale N] [--seed S] [--backend {memory,disk}] [--transport {inproc,tcp}]`
+//! Usage: `cargo run --release -p dpsync-bench --bin exp_table5 [--scale N] [--seed S] [--backend {memory,disk,disk-group}] [--transport {inproc,tcp}]`
 
 use dpsync_bench::experiments::end_to_end::{headline_summary, run_end_to_end, table5};
-use dpsync_bench::ExperimentConfig;
+use dpsync_bench::{ExperimentConfig, FlagSet};
 
 fn main() {
-    let config = ExperimentConfig::from_args(std::env::args().skip(1));
+    let config = ExperimentConfig::from_env("exp_table5", FlagSet::Simulation);
     println!(
         "Table 5 — aggregated statistics (scale 1/{}, epsilon = {}, T = {}, theta = {}, backend = {}, transport = {})\n",
         config.scale.max(1),

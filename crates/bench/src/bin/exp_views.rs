@@ -33,19 +33,16 @@
 //! exp_views [--seed 2021] [--delta 128] [--smoke] [--out FILE]
 //! ```
 
+use dpsync_bench::cli::{self, unknown, Args, CliError};
 use dpsync_bench::perf::{
-    median_ns, synthetic_rows, taxi_like_schema, BenchReport, BenchResult, REPORT_VERSION,
+    format_us, ingest_batches, loaded_engine, median_ns, median_read_ns, record_count,
+    register_paper_views, time_ingest, BenchReport, BenchResult, REPORT_VERSION,
 };
 use dpsync_bench::report::TextTable;
-use dpsync_crypto::{MasterKey, RecordCryptor};
-use dpsync_dp::DpRng;
-use dpsync_edb::engines::base::encrypt_batch;
+use dpsync_crypto::MasterKey;
 use dpsync_edb::engines::ObliDbEngine;
 use dpsync_edb::query::paper_queries;
 use dpsync_edb::sogdb::SecureOutsourcedDatabase;
-use dpsync_edb::ViewDef;
-use std::hint::black_box;
-use std::time::Instant;
 
 struct Config {
     seed: u64,
@@ -54,67 +51,23 @@ struct Config {
     out: Option<String>,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            seed: 2021,
-            delta: 128,
-            smoke: false,
-            out: None,
-        }
-    }
-}
-
-const USAGE: &str = "usage: exp_views [--seed S] [--delta N] [--smoke] [--out FILE]";
-
-fn parse_args() -> Config {
-    let mut config = Config::default();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let bad = |flag: &str, v: Option<&String>| -> ! {
-        eprintln!(
-            "exp_views: invalid value {:?} for `{flag}` (see --help)",
-            v.map(String::as_str).unwrap_or("<missing>")
-        );
-        std::process::exit(2);
+fn parse(args: &mut Args) -> Result<Config, CliError> {
+    let mut config = Config {
+        seed: 2021,
+        delta: 128,
+        smoke: false,
+        out: None,
     };
-    while i < args.len() {
-        let value = |i: usize| -> Option<&String> { args.get(i + 1) };
-        match args[i].as_str() {
-            "--seed" => match value(i).and_then(|v| v.parse().ok()) {
-                Some(v) => {
-                    config.seed = v;
-                    i += 1;
-                }
-                None => bad("--seed", value(i)),
-            },
-            "--delta" => match value(i).and_then(|v| v.parse().ok()) {
-                Some(v) => {
-                    config.delta = v;
-                    i += 1;
-                }
-                None => bad("--delta", value(i)),
-            },
+    while let Some(flag) = args.next_arg()? {
+        match flag.as_str() {
+            "--seed" => config.seed = args.value(&flag)?,
+            "--delta" => config.delta = args.value(&flag)?,
             "--smoke" => config.smoke = true,
-            "--out" => match value(i) {
-                Some(v) => {
-                    config.out = Some(v.clone());
-                    i += 1;
-                }
-                None => bad("--out", None),
-            },
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("exp_views: unknown argument `{other}` (see --help)");
-                std::process::exit(2);
-            }
+            "--out" => config.out = Some(args.string(&flag)?),
+            _ => return Err(unknown(&flag)),
         }
-        i += 1;
     }
-    config
+    Ok(config)
 }
 
 /// One swept table size: per-query latencies (ns) for scan and view reads.
@@ -126,112 +79,43 @@ struct SizePoint {
     read_q2_ns: f64,
 }
 
-fn loaded_engine(rows: usize, seed: u64, with_views: bool) -> ObliDbEngine {
-    let master = MasterKey::from_bytes([0xC4; 32]);
-    let mut cryptor = RecordCryptor::new(&master);
-    let engine = ObliDbEngine::new(&master);
-    engine
-        .setup(
-            "views",
-            taxi_like_schema(),
-            encrypt_batch(&mut cryptor, &synthetic_rows(rows, seed), rows / 4),
-        )
-        .expect("fresh engine");
-    if with_views {
-        for (name, query) in [
-            ("q1", paper_queries::q1_range_count("views")),
-            ("q2", paper_queries::q2_group_by_count("views")),
-        ] {
-            let def = ViewDef::new(name, query).expect("paper queries are view-supported");
-            engine.register_view(&def).expect("view registers");
-        }
-    }
-    engine
-}
-
 fn sweep_size(rows: usize, samples: usize, reps: usize, seed: u64) -> SizePoint {
-    let engine = loaded_engine(rows, seed, true);
+    let engine = loaded_engine("views", rows, seed);
+    register_paper_views(&engine, "views");
     let q1 = paper_queries::q1_range_count("views");
     let q2 = paper_queries::q2_group_by_count("views");
-    let time_queries = |run: &dyn Fn(&mut DpRng)| -> f64 {
-        median_ns(samples, || {
-            let mut rng = DpRng::seed_from_u64(seed);
-            let started = Instant::now();
-            for _ in 0..reps {
-                run(&mut rng);
-            }
-            started.elapsed()
-        }) / reps as f64
-    };
     SizePoint {
         rows,
-        scan_q1_ns: time_queries(&|rng| {
-            black_box(engine.query(&q1, rng).expect("scan succeeds"));
-        }),
-        read_q1_ns: time_queries(&|rng| {
-            black_box(engine.query_view("q1", rng).expect("view read succeeds"));
-        }),
-        scan_q2_ns: time_queries(&|rng| {
-            black_box(engine.query(&q2, rng).expect("scan succeeds"));
-        }),
-        read_q2_ns: time_queries(&|rng| {
-            black_box(engine.query_view("q2", rng).expect("view read succeeds"));
-        }),
+        scan_q1_ns: median_read_ns(samples, reps, seed, |rng| engine.query(&q1, rng)),
+        read_q1_ns: median_read_ns(samples, reps, seed, |rng| engine.query_view("q1", rng)),
+        scan_q2_ns: median_read_ns(samples, reps, seed, |rng| engine.query(&q2, rng)),
+        read_q2_ns: median_read_ns(samples, reps, seed, |rng| engine.query_view("q2", rng)),
     }
 }
 
-/// Per-record ingest cost (ns) with and without the paper views registered.
-/// Batches mirror the suite's `Π_Update` shape: small flushes, 25% dummies.
+/// Per-record ingest cost (ns) with and without the paper views registered,
+/// over 96 batches of the suite's `Π_Update` shape: small flushes, 25% dummies.
 fn maintenance_overhead(samples: usize, seed: u64) -> (f64, f64) {
-    const BATCHES: usize = 96;
-    const BATCH_SIZE: usize = 8;
     let master = MasterKey::from_bytes([0xB3; 32]);
-    let mut cryptor = RecordCryptor::new(&master);
-    let batches: Vec<Vec<dpsync_crypto::EncryptedRecord>> = (0..BATCHES)
-        .map(|b| {
-            let rows = synthetic_rows(BATCH_SIZE * 3 / 4, seed ^ (b as u64).wrapping_mul(0x9e37));
-            encrypt_batch(&mut cryptor, &rows, BATCH_SIZE / 4)
-        })
-        .collect();
-    let records: u64 = batches.iter().map(|b| b.len() as u64).sum();
-    let ingest = |with_views: bool| -> f64 {
+    let batches = ingest_batches(96, 8, seed, &master);
+    let ingest = |with_views: bool| {
         median_ns(samples, || {
-            let engine = ObliDbEngine::new(&master);
-            engine
-                .setup("views", taxi_like_schema(), Vec::new())
-                .expect("fresh engine");
-            if with_views {
-                for (name, query) in [
-                    ("q1", paper_queries::q1_range_count("views")),
-                    ("q2", paper_queries::q2_group_by_count("views")),
-                ] {
-                    let def = ViewDef::new(name, query).expect("supported shape");
-                    engine.register_view(&def).expect("view registers");
+            time_ingest(&ObliDbEngine::new(&master), "views", &batches, |e| {
+                if with_views {
+                    register_paper_views(e, "views");
                 }
-            }
-            let cloned: Vec<_> = batches.to_vec();
-            let started = Instant::now();
-            for (time, batch) in cloned.into_iter().enumerate() {
-                engine
-                    .update("views", time as u64 + 1, batch)
-                    .expect("ingest succeeds");
-            }
-            let elapsed = started.elapsed();
-            black_box(engine.table_stats("views").ciphertext_count);
-            elapsed
-        }) / records as f64
+            })
+        }) / record_count(&batches) as f64
     };
-    let plain = ingest(false);
-    let viewed = ingest(true);
-    (plain, viewed)
-}
-
-fn format_us(ns: f64) -> String {
-    format!("{:.2} µs", ns / 1e3)
+    (ingest(false), ingest(true))
 }
 
 fn main() {
-    let config = parse_args();
+    let config = cli::parse_env(
+        "exp_views",
+        "usage: exp_views [--seed S] [--delta N] [--smoke] [--out FILE]",
+        parse,
+    );
     let (sizes, samples, reps): (&[usize], usize, usize) = if config.smoke {
         (&[1_000, 4_000, 16_000], 5, 8)
     } else {

@@ -5,13 +5,14 @@
 //! queries every 360 time units, size samples every 7200, and the June-2020
 //! Yellow/Green taxi workload shapes.
 
+use crate::cli::{self, unknown, Args, CliError};
 use dpsync_core::strategy::{
     AboveNoisyThresholdStrategy, CacheFlush, DpTimerStrategy, OneTimeOutsourcing, StrategyKind,
     SyncStrategy, SynchronizeEveryTime, SynchronizeUponReceipt,
 };
 use dpsync_dp::Epsilon;
 use dpsync_workloads::taxi::{TaxiConfig, TaxiDataset};
-use serde::{Deserialize, Serialize};
+use std::num::NonZeroUsize;
 
 /// Engine selection now lives next to the engines themselves; the harness
 /// re-exports it so experiment code keeps one import path.
@@ -29,7 +30,7 @@ pub use dpsync_edb::engines::EngineKind;
 /// group-commit sync windows — identical durability guarantees at the
 /// acknowledgment boundary, one `fdatasync` amortized across a window of
 /// concurrent batches instead of one per batch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// The in-memory backend (the default).
     #[default]
@@ -74,7 +75,7 @@ impl std::fmt::Display for BackendKind {
 /// reports are byte-identical to `Inproc` runs — pinned by the
 /// remote-equivalence suite in `dpsync-core` — so the transport is a pure
 /// deployment choice, never an experimental variable.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum TransportKind {
     /// Engine calls are in-process function calls (the default).
     #[default]
@@ -170,7 +171,7 @@ impl Drop for ScratchDir {
 }
 
 /// Strategy parameters for one run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StrategyParams {
     /// Privacy budget for the DP strategies.
     pub epsilon: f64,
@@ -218,8 +219,18 @@ impl StrategyParams {
     }
 }
 
+/// The flags an experiment binary takes (see [`ExperimentConfig::parse`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlagSet {
+    /// The simulation binaries: `--scale`, `--seed`, `--jobs`, `--backend`,
+    /// `--transport` and `--addr`.
+    Simulation,
+    /// The analytic binaries: `--scale` and `--seed` only.
+    Analytic,
+}
+
 /// Top-level experiment configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentConfig {
     /// Workload/horizon scale divisor: 1 is the paper's full month, larger
     /// values shrink both horizon and record counts proportionally (used by
@@ -254,139 +265,69 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// Parses `--scale N`, `--seed S`, `--jobs J`, `--backend
-    /// {memory,disk}`, `--transport {inproc,tcp}` and `--addr HOST:PORT`
-    /// from command-line arguments, starting from the defaults.
+    /// Reads `flags` from `args`, starting from the defaults.
     ///
-    /// `--jobs` configures the experiment worker pool (see [`crate::pool`]):
-    /// it caps how many simulations run concurrently, and defaults to the
-    /// machine's available parallelism.  Results are byte-identical for every
-    /// worker count — and, with a fixed seed, for every `--backend` and
-    /// every `--transport`.  `--transport tcp` connects each run to the
-    /// `dpsync-serve` process at `--addr` (default [`DEFAULT_SERVE_ADDR`]).
-    pub fn from_args(args: impl Iterator<Item = String>) -> Self {
-        let mut config = Self::default();
-        let args: Vec<String> = args.collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" => {
-                    if let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-                        config.scale = v;
-                        i += 1;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-                        config.seed = v;
-                        i += 1;
-                    }
-                }
-                "--jobs" => {
-                    if let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-                        crate::pool::set_worker_override(std::num::NonZeroUsize::new(v));
-                        i += 1;
-                    }
-                }
-                "--backend" => {
-                    if let Some(v) = args
-                        .get(i + 1)
-                        .map(String::as_str)
-                        .and_then(BackendKind::parse)
-                    {
-                        config.backend = v;
-                        i += 1;
-                    }
-                }
-                "--transport" => {
-                    if let Some(v) = args
-                        .get(i + 1)
-                        .map(String::as_str)
-                        .and_then(TransportKind::parse)
-                    {
-                        config.transport = v;
-                        i += 1;
-                    }
-                }
-                "--addr" => {
-                    if let Some(v) = args.get(i + 1) {
-                        set_serve_addr(Some(v.clone()));
-                        i += 1;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        config.rescale()
-    }
-
-    /// Strict argument parsing for the **analytic** experiment binaries
-    /// (`exp_table2`, `exp_table4_privacy`): accepts only `--scale N` and
-    /// `--seed S`, and rejects everything else with an explanation.
+    /// [`FlagSet::Simulation`] takes `--scale N`, `--seed S`, `--jobs J`,
+    /// `--backend {memory,disk,disk-group}`, `--transport {inproc,tcp}` and
+    /// `--addr HOST:PORT`.  `--jobs` configures the experiment worker pool
+    /// (see [`crate::pool`]): it caps how many simulations run concurrently,
+    /// and defaults to the machine's available parallelism.  Results are
+    /// byte-identical for every worker count — and, with a fixed seed, for
+    /// every `--backend` and every `--transport`.  `--transport tcp` connects
+    /// each run to the `dpsync-serve` process at `--addr` (default
+    /// [`DEFAULT_SERVE_ADDR`]).
     ///
-    /// The analytic tables recompute closed-form bounds (or run in-process
-    /// Monte-Carlo trials) — they never build an engine, touch a storage
-    /// backend, or contact a server.  [`Self::from_args`] silently ignores
-    /// unknown flags, which let invocations like `exp_table2 --transport
-    /// tcp` appear to work while doing nothing; here that is a hard error so
-    /// a mistyped or misdirected flag cannot go unnoticed.
-    pub fn try_from_args_analytic(args: impl Iterator<Item = String>) -> Result<Self, String> {
+    /// [`FlagSet::Analytic`] takes `--scale` and `--seed` only, and rejects
+    /// the simulation flags with an explanation: the analytic tables
+    /// recompute closed-form bounds (or run in-process Monte-Carlo trials)
+    /// and never build an engine, touch a storage backend or contact a
+    /// server.
+    pub fn parse(args: &mut Args, flags: FlagSet) -> Result<Self, CliError> {
         let mut config = Self::default();
-        let args: Vec<String> = args.collect();
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            match flag {
-                "--scale" | "--seed" => {
-                    let value = args
-                        .get(i + 1)
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .ok_or_else(|| format!("`{flag}` expects an integer value"))?;
-                    if flag == "--scale" {
-                        config.scale = value;
-                    } else {
-                        config.seed = value;
-                    }
-                    i += 1;
-                }
-                "--transport" | "--backend" | "--addr" | "--jobs" => {
-                    return Err(format!(
+        while let Some(flag) = args.next_arg()? {
+            match flag.as_str() {
+                "--scale" => config.scale = args.value(&flag)?,
+                "--seed" => config.seed = args.value(&flag)?,
+                "--transport" | "--backend" | "--addr" | "--jobs" if flags == FlagSet::Analytic => {
+                    return Err(CliError::Invalid(format!(
                         "`{flag}` is not accepted: this is an analytic experiment — it \
                          recomputes closed-form bounds in process and never contacts a \
                          server, so it takes no transport, backend, address or worker \
                          flags (those belong to the simulation binaries; see the README's \
                          per-binary flag table)"
-                    ));
+                    )));
                 }
-                other => {
-                    return Err(format!(
-                        "unknown argument `{other}` (analytic experiments accept only \
-                         --scale and --seed)"
-                    ));
+                "--jobs" => {
+                    crate::pool::set_worker_override(NonZeroUsize::new(args.value(&flag)?));
                 }
+                "--backend" => {
+                    config.backend = args.value_with(&flag, |v| {
+                        BackendKind::parse(v).ok_or("expected memory, disk or disk-group")
+                    })?;
+                }
+                "--transport" => {
+                    config.transport = args.value_with(&flag, |v| {
+                        TransportKind::parse(v).ok_or("expected inproc or tcp")
+                    })?;
+                }
+                "--addr" => set_serve_addr(Some(args.string(&flag)?)),
+                _ => return Err(unknown(&flag)),
             }
-            i += 1;
         }
         Ok(config.rescale())
     }
 
-    /// [`Self::try_from_args_analytic`] with CLI ergonomics: `--help` prints
-    /// usage and exits 0, a rejected flag prints the explanation to stderr
-    /// and exits 2.
-    pub fn from_args_analytic(binary: &str, args: impl Iterator<Item = String>) -> Self {
-        let args: Vec<String> = args.collect();
-        if args.iter().any(|a| a == "--help" || a == "-h") {
-            println!("usage: {binary} [--scale N] [--seed S]");
-            std::process::exit(0);
-        }
-        match Self::try_from_args_analytic(args.into_iter()) {
-            Ok(config) => config,
-            Err(message) => {
-                eprintln!("{binary}: {message}");
-                std::process::exit(2);
-            }
-        }
+    /// Parses this process's arguments as `binary`'s (see [`Self::parse`]
+    /// and [`cli::parse_env`]).
+    pub fn from_env(binary: &str, flags: FlagSet) -> Self {
+        let usage = match flags {
+            FlagSet::Simulation => format!(
+                "usage: {binary} [--scale N] [--seed S] [--jobs J] \
+                 [--backend memory|disk|disk-group] [--transport inproc|tcp] [--addr HOST:PORT]"
+            ),
+            FlagSet::Analytic => format!("usage: {binary} [--scale N] [--seed S]"),
+        };
+        cli::parse_env(binary, &usage, |args| Self::parse(args, flags))
     }
 
     /// Applies the scale divisor to the time-dependent intervals so that a
@@ -474,43 +415,71 @@ mod tests {
         }
     }
 
+    fn parse(flags: FlagSet, args: &[&str]) -> Result<ExperimentConfig, CliError> {
+        ExperimentConfig::parse(&mut Args::new(args.iter().copied()), flags)
+    }
+
+    /// Asserts that `args` are rejected with a message naming `flag`.
+    fn assert_rejects(flags: FlagSet, args: &[&str], flag: &str) -> String {
+        match parse(flags, args) {
+            Err(CliError::Invalid(message)) => {
+                assert!(message.contains(flag), "{args:?}: {message}");
+                message
+            }
+            other => panic!("{args:?} must be rejected, got {other:?}"),
+        }
+    }
+
     #[test]
     fn arg_parsing_and_rescaling() {
-        let c = ExperimentConfig::from_args(
-            [
-                "--scale",
-                "20",
-                "--seed",
-                "7",
-                "--backend",
-                "disk",
-                "--ignored",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        );
+        let c = parse(
+            FlagSet::Simulation,
+            &["--scale", "20", "--seed", "7", "--backend", "disk"],
+        )
+        .expect("valid flags parse");
         assert_eq!(c.scale, 20);
         assert_eq!(c.seed, 7);
         assert_eq!(c.query_interval, 18);
         assert_eq!(c.size_sample_interval, 360);
         assert_eq!(c.backend, BackendKind::Disk);
-        // Missing values fall back to defaults.
-        let d = ExperimentConfig::from_args(["--scale"].iter().map(|s| s.to_string()));
+        // An unknown flag is rejected, not ignored.
+        assert_rejects(
+            FlagSet::Simulation,
+            &["--scale", "20", "--seed", "7", "--ignored"],
+            "--ignored",
+        );
+        // So is a trailing flag without its value.
+        assert_rejects(FlagSet::Simulation, &["--scale"], "--scale");
+        // And an unknown backend.
+        assert_rejects(FlagSet::Simulation, &["--backend", "floppy"], "floppy");
+        let d = parse(FlagSet::Simulation, &[]).expect("no flags parse");
         assert_eq!(d.scale, 1);
         assert_eq!(d.backend, BackendKind::Memory);
-        // Unknown backend values are ignored, keeping the default.
-        let e = ExperimentConfig::from_args(["--backend", "floppy"].iter().map(|s| s.to_string()));
-        assert_eq!(e.backend, BackendKind::Memory);
+        assert_eq!(d, ExperimentConfig::default());
+    }
+
+    #[test]
+    fn both_flag_sets_reject_what_they_cannot_parse_naming_the_flag() {
+        for flags in [FlagSet::Simulation, FlagSet::Analytic] {
+            assert_rejects(flags, &["--bogus-flag"], "--bogus-flag");
+            assert_rejects(flags, &["--seed", "7", "--scale"], "--scale");
+            assert_rejects(flags, &["--seed"], "--seed");
+            let message = assert_rejects(flags, &["--scale", "abc"], "--scale");
+            assert!(message.contains("`abc`"), "{message}");
+            assert_rejects(flags, &["--backend", "floppy"], "--backend");
+            assert_rejects(flags, &["--transport", "tcpp"], "--transport");
+            assert_eq!(parse(flags, &["--seed", "3", "-h"]), Err(CliError::Help));
+        }
+        let message = assert_rejects(FlagSet::Simulation, &["--transport", "tcpp"], "tcpp");
+        assert!(message.contains("inproc or tcp"), "{message}");
+        assert_rejects(FlagSet::Simulation, &["--jobs", "many"], "--jobs");
+        assert_rejects(FlagSet::Simulation, &["--addr"], "--addr");
     }
 
     #[test]
     fn analytic_parsing_accepts_only_scale_and_seed() {
-        let c = ExperimentConfig::try_from_args_analytic(
-            ["--scale", "20", "--seed", "7"]
-                .iter()
-                .map(|s| s.to_string()),
-        )
-        .expect("scale and seed are accepted");
+        let c = parse(FlagSet::Analytic, &["--scale", "20", "--seed", "7"])
+            .expect("scale and seed are accepted");
         assert_eq!(c.scale, 20);
         assert_eq!(c.seed, 7);
         assert_eq!(c.query_interval, 18);
@@ -518,10 +487,7 @@ mod tests {
         // Transport/backend flags are rejected with an explanation, not
         // silently ignored — the analytic tables never contact a server.
         for flag in ["--transport", "--backend", "--addr", "--jobs"] {
-            let err = ExperimentConfig::try_from_args_analytic(
-                [flag, "whatever"].iter().map(|s| s.to_string()),
-            )
-            .expect_err("simulation-only flags must be rejected");
+            let err = assert_rejects(FlagSet::Analytic, &[flag, "whatever"], flag);
             assert!(
                 err.contains("analytic experiment"),
                 "rejection for {flag} must explain itself, got: {err}"
@@ -529,14 +495,8 @@ mod tests {
         }
 
         // Unknown flags and missing values are errors too.
-        assert!(ExperimentConfig::try_from_args_analytic(
-            ["--frobnicate"].iter().map(|s| s.to_string())
-        )
-        .is_err());
-        assert!(ExperimentConfig::try_from_args_analytic(
-            ["--scale"].iter().map(|s| s.to_string())
-        )
-        .is_err());
+        assert!(parse(FlagSet::Analytic, &["--frobnicate"]).is_err());
+        assert!(parse(FlagSet::Analytic, &["--scale"]).is_err());
     }
 
     #[test]
@@ -546,15 +506,14 @@ mod tests {
         assert_eq!(TransportKind::parse("smoke-signals"), None);
         assert_eq!(TransportKind::Tcp.to_string(), "tcp");
         assert_eq!(TransportKind::default(), TransportKind::Inproc);
-        let c = ExperimentConfig::from_args(["--transport", "tcp"].iter().map(|s| s.to_string()));
+        let c = parse(FlagSet::Simulation, &["--transport", "tcp"]).expect("tcp parses");
         assert_eq!(c.transport, TransportKind::Tcp);
-        // Unknown transports keep the default.
-        let d = ExperimentConfig::from_args(
-            ["--transport", "carrier-pigeon"]
-                .iter()
-                .map(|s| s.to_string()),
+        // Unknown transports are rejected, naming the flag.
+        assert_rejects(
+            FlagSet::Simulation,
+            &["--transport", "carrier-pigeon"],
+            "--transport",
         );
-        assert_eq!(d.transport, TransportKind::Inproc);
     }
 
     #[test]

@@ -2,27 +2,28 @@
 //!
 //! The crate has two halves:
 //!
-//! * a library ([`experiments`], [`report`]) that configures and runs the
-//!   simulations behind each experiment and renders their results as aligned
-//!   text tables / CSV series, and
-//! * one binary per table/figure (`exp_table2`, `exp_table3`,
-//!   `exp_table4_privacy`, `exp_table5`, `exp_fig2` … `exp_fig6`) plus the
-//!   Criterion micro-benchmarks under `benches/`.
+//! * a library ([`experiments`], [`report`], [`perf`]) that runs the
+//!   simulations behind each experiment, renders their results as aligned
+//!   text tables / CSV series, and times the microbenchmark suite, and
+//! * the `exp_*` binaries: one per table/figure, plus the `exp_scale`,
+//!   `exp_c10k`, `exp_views` and `exp_index` harnesses and the `exp_bench`
+//!   suite driver.
 //!
-//! Every binary accepts `--scale N` (default 1 = the paper's full 43 200
-//! minute horizon; larger N shrinks both the horizon and the record counts by
-//! that factor) and `--seed S` so results are reproducible.
+//! Every binary parses its command line through [`cli`]: an unknown flag, a
+//! flag without its value or a value that does not parse exits 2.  The
+//! README lists which binary takes which flags.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod cli;
 pub mod experiments;
 pub mod perf;
 pub mod pool;
 pub mod report;
 
 pub use experiments::config::{
-    BackendKind, EngineKind, ExperimentConfig, StrategyParams, TransportKind,
+    BackendKind, EngineKind, ExperimentConfig, FlagSet, StrategyParams, TransportKind,
 };
 pub use experiments::runner::{run_simulation, run_specs, RunSpec};
 pub use pool::parallel_map;

@@ -32,13 +32,13 @@ use crate::experiments::config::{EngineKind, ExperimentConfig};
 use crate::experiments::runner::{run_simulation, RunSpec};
 use crate::report::TextTable;
 use dpsync_core::strategy::StrategyKind;
-use dpsync_crypto::{MasterKey, RecordCryptor};
+use dpsync_crypto::{EncryptedRecord, MasterKey, RecordCryptor};
 use dpsync_dp::{AboveNoisyThreshold, DpRng, Epsilon, Laplace};
 use dpsync_edb::engines::base::encrypt_batch;
 use dpsync_edb::engines::ObliDbEngine;
 use dpsync_edb::query::paper_queries;
-use dpsync_edb::sogdb::SecureOutsourcedDatabase;
-use dpsync_edb::{DataType, IndexDef, Row, Schema, Value, ViewDef};
+use dpsync_edb::sogdb::{EdbError, SecureOutsourcedDatabase};
+use dpsync_edb::{DataType, IndexDef, QueryOutcome, Row, Schema, Value, ViewDef};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -268,6 +268,11 @@ pub fn format_throughput(per_sec: f64) -> String {
     } else {
         format!("{per_sec:.0} rec/s")
     }
+}
+
+/// Formats a nanosecond figure in microseconds.
+pub fn format_us(ns: f64) -> String {
+    format!("{:.2} µs", ns / 1e3)
 }
 
 /// Loads and parses a report file.
@@ -550,6 +555,33 @@ pub fn median_ns(samples: usize, mut f: impl FnMut() -> Duration) -> f64 {
     median.as_nanos().max(1) as f64
 }
 
+/// The `q`-quantile of the ascending `sorted` (nearest rank; 0 when empty).
+pub fn percentile(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = ((sorted.len() - 1) as f64 * q).round() as usize;
+    sorted[rank.min(sorted.len() - 1)]
+}
+
+/// Dials a loopback server, retrying for up to 30 s: a thousand
+/// simultaneous SYNs can overflow the listen backlog, and the kernel answers
+/// that with drops the client must absorb.
+pub fn connect_with_retry(addr: std::net::SocketAddr) -> dpsync_net::MuxConnection {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        match dpsync_net::MuxConnection::connect_with_timeout(addr, Some(Duration::from_secs(60))) {
+            Ok(conn) => return conn,
+            Err(e) => {
+                if Instant::now() > deadline {
+                    panic!("cannot connect to the loopback server: {e}");
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+    }
+}
+
 /// Times `samples` runs of `sample` (each sets up its own state and returns
 /// the duration of its timed region) and folds them into a [`BenchResult`].
 fn run_bench(
@@ -642,58 +674,78 @@ fn bench_dp_svt(scale: &SuiteScale, seed: u64) -> BenchResult {
     })
 }
 
-/// Pre-encrypts the shared ingest workload: one quarter of every batch is
-/// dummy padding, matching a DP-Timer-like steady state.  Batches are
-/// deliberately small — a Π_Update flush is a per-timestep cache of a few
-/// records plus its padding, not a bulk load — which is also the regime
-/// where the durable-backend benches measure what they claim to: per-sync
-/// cost (the thing DP-Sync's update cadence multiplies and group commit
-/// amortizes) rather than raw byte throughput.
-fn ingest_batches(
-    scale: &SuiteScale,
+/// Pre-encrypts an ingest workload of `batches` batches of `batch_size`
+/// records: one quarter of every batch is dummy padding, matching a
+/// DP-Timer-like steady state.  Batches are deliberately small — a Π_Update
+/// flush is a per-timestep cache of a few records plus its padding, not a
+/// bulk load — which is also the regime where the durable-backend benches
+/// measure what they claim to: per-sync cost (the thing DP-Sync's update
+/// cadence multiplies and group commit amortizes) rather than raw byte
+/// throughput.
+pub fn ingest_batches(
+    batches: usize,
+    batch_size: usize,
     seed: u64,
     master: &MasterKey,
-) -> Vec<Vec<dpsync_crypto::EncryptedRecord>> {
+) -> Vec<Vec<EncryptedRecord>> {
     let mut cryptor = RecordCryptor::new(master);
-    (0..scale.ingest_batches)
+    (0..batches)
         .map(|b| {
-            let rows = synthetic_rows(
-                scale.ingest_batch_size * 3 / 4,
-                seed ^ (b as u64).wrapping_mul(0x9e37),
-            );
-            encrypt_batch(&mut cryptor, &rows, scale.ingest_batch_size / 4)
+            let rows = synthetic_rows(batch_size * 3 / 4, seed ^ (b as u64).wrapping_mul(0x9e37));
+            encrypt_batch(&mut cryptor, &rows, batch_size / 4)
         })
         .collect()
 }
 
-fn bench_pi_update_ingest(scale: &SuiteScale, seed: u64) -> BenchResult {
-    let master = MasterKey::from_bytes([0xB3; 32]);
-    // Batches are encrypted once up front; each sample clones them outside
-    // the timed region (Π_Update consumes the batch by value).
-    let batches = ingest_batches(scale, seed, &master);
-    let records: u64 = batches.iter().map(|b| b.len() as u64).sum();
-    run_bench("pi_update_ingest", scale.samples, records, || {
-        let engine = ObliDbEngine::new(&master);
+/// The number of records in `batches`.
+pub fn record_count(batches: &[Vec<EncryptedRecord>]) -> u64 {
+    batches.iter().map(|b| b.len() as u64).sum()
+}
+
+/// One sample of serial `Π_Update` ingest.  Outside the clock, `engine`
+/// gets an empty `table` of [`taxi_like_schema`], `register` runs on it, and
+/// `batches` are cloned (Π_Update consumes a batch by value); the clock
+/// covers updating `table` with them at times 1, 2, ….
+pub fn time_ingest(
+    engine: &ObliDbEngine,
+    table: &str,
+    batches: &[Vec<EncryptedRecord>],
+    register: impl FnOnce(&ObliDbEngine),
+) -> Duration {
+    engine
+        .setup(table, taxi_like_schema(), Vec::new())
+        .expect("fresh engine");
+    register(engine);
+    let cloned: Vec<_> = batches.to_vec();
+    let started = Instant::now();
+    for (time, batch) in cloned.into_iter().enumerate() {
         engine
-            .setup("bench", taxi_like_schema(), Vec::new())
-            .expect("fresh engine");
-        let cloned: Vec<_> = batches.to_vec();
-        let started = Instant::now();
-        for (time, batch) in cloned.into_iter().enumerate() {
-            engine
-                .update("bench", time as u64 + 1, batch)
-                .expect("ingest cannot fail");
-        }
-        let elapsed = started.elapsed();
-        black_box(engine.table_stats("bench").ciphertext_count);
-        elapsed
+            .update(table, time as u64 + 1, batch)
+            .expect("ingest succeeds");
+    }
+    let elapsed = started.elapsed();
+    black_box(engine.table_stats(table).ciphertext_count);
+    elapsed
+}
+
+/// A suite benchmark of serial `Π_Update` ingest into a `fresh` engine per
+/// sample, with `register` run on its table before the clock starts.  The
+/// batches are encrypted once up front.
+fn bench_ingest(
+    name: &str,
+    scale: &SuiteScale,
+    seed: u64,
+    mut fresh: impl FnMut(&MasterKey) -> ObliDbEngine,
+    register: impl Fn(&ObliDbEngine),
+) -> BenchResult {
+    let master = MasterKey::from_bytes([0xB3; 32]);
+    let batches = ingest_batches(scale.ingest_batches, scale.ingest_batch_size, seed, &master);
+    run_bench(name, scale.samples, record_count(&batches), || {
+        time_ingest(&fresh(&master), "bench", &batches, &register)
     })
 }
 
 fn bench_pi_update_ingest_disk(scale: &SuiteScale, seed: u64) -> BenchResult {
-    let master = MasterKey::from_bytes([0xB3; 32]);
-    let batches = ingest_batches(scale, seed, &master);
-    let records: u64 = batches.iter().map(|b| b.len() as u64).sum();
     // The scratch root rides behind a drop guard so the directory disappears
     // even when a sample panics mid-ingest (a trailing `remove_dir_all`
     // would be skipped during unwinding).
@@ -703,7 +755,7 @@ fn bench_pi_update_ingest_disk(scale: &SuiteScale, seed: u64) -> BenchResult {
     );
     let _ = std::fs::remove_dir_all(root.path());
     let mut sample_index = 0u64;
-    run_bench("pi_update_ingest_disk", scale.samples, records, || {
+    let fresh = |master: &MasterKey| {
         // A fresh segment log per sample, full durability: every Π_Update
         // batch is CRC-framed and fsynced, so this measures the real disk
         // ingest path, not just the framing.
@@ -712,21 +764,9 @@ fn bench_pi_update_ingest_disk(scale: &SuiteScale, seed: u64) -> BenchResult {
         let backend = dpsync_edb::BackendConfig::segment_log(&dir)
             .build()
             .expect("scratch dir is creatable");
-        let engine = ObliDbEngine::with_backend(&master, backend).expect("fresh log opens");
-        engine
-            .setup("bench", taxi_like_schema(), Vec::new())
-            .expect("fresh engine");
-        let cloned: Vec<_> = batches.to_vec();
-        let started = Instant::now();
-        for (time, batch) in cloned.into_iter().enumerate() {
-            engine
-                .update("bench", time as u64 + 1, batch)
-                .expect("disk ingest succeeds");
-        }
-        let elapsed = started.elapsed();
-        black_box(engine.table_stats("bench").ciphertext_count);
-        elapsed
-    })
+        ObliDbEngine::with_backend(master, backend).expect("fresh log opens")
+    };
+    bench_ingest("pi_update_ingest_disk", scale, seed, fresh, |_| {})
 }
 
 /// Concurrent appender threads for the group-commit ingest benchmark.  The
@@ -749,8 +789,8 @@ const GROUP_INGEST_WINDOW: u64 = 32;
 
 fn bench_pi_update_ingest_disk_group(scale: &SuiteScale, seed: u64) -> BenchResult {
     let master = MasterKey::from_bytes([0xB3; 32]);
-    let batches = ingest_batches(scale, seed, &master);
-    let records: u64 = batches.iter().map(|b| b.len() as u64).sum();
+    let batches = ingest_batches(scale.ingest_batches, scale.ingest_batch_size, seed, &master);
+    let records = record_count(&batches);
     let root = crate::experiments::config::ScratchDir::claim(
         crate::experiments::runner::disk_scratch_root()
             .join(format!("dpsync-perf-disk-group-{}", std::process::id())),
@@ -824,9 +864,9 @@ fn bench_reactor_ingest(scale: &SuiteScale, seed: u64) -> BenchResult {
     // benches, dealt round-robin across the sessions so the comparison
     // `pi_update_ingest` → `reactor_ingest` isolates the service tier's
     // cost: framing, CRC, readiness scheduling and worker-pool handoff.
-    let batches = ingest_batches(scale, seed, &master);
-    let records: u64 = batches.iter().map(|b| b.len() as u64).sum();
-    let mut per_session: Vec<Vec<(u64, Vec<dpsync_crypto::EncryptedRecord>)>> =
+    let batches = ingest_batches(scale.ingest_batches, scale.ingest_batch_size, seed, &master);
+    let records = record_count(&batches);
+    let mut per_session: Vec<Vec<(u64, Vec<EncryptedRecord>)>> =
         (0..sessions_total).map(|_| Vec::new()).collect();
     for (i, batch) in batches.iter().enumerate() {
         per_session[i % sessions_total].push((i as u64 + 1, batch.clone()));
@@ -883,155 +923,86 @@ fn bench_reactor_ingest(scale: &SuiteScale, seed: u64) -> BenchResult {
     })
 }
 
-fn query_engine(scale: &SuiteScale, seed: u64) -> ObliDbEngine {
+/// An engine whose `table` holds `rows` [`synthetic_rows`] for `seed` plus
+/// `rows / 4` dummies (the suite's 25% padding steady state), loaded through
+/// `Π_Setup`.
+pub fn loaded_engine(table: &str, rows: usize, seed: u64) -> ObliDbEngine {
     let master = MasterKey::from_bytes([0xC4; 32]);
     let mut cryptor = RecordCryptor::new(&master);
-    let rows = synthetic_rows(scale.query_rows, seed);
     let engine = ObliDbEngine::new(&master);
     engine
         .setup(
-            "yellow",
+            table,
             taxi_like_schema(),
-            encrypt_batch(&mut cryptor, &rows, scale.query_rows / 4),
+            encrypt_batch(&mut cryptor, &synthetic_rows(rows, seed), rows / 4),
         )
         .expect("fresh engine");
     engine
 }
 
-fn bench_query(
+/// Registers the paper's Q1 and Q2 on `table` as the views `q1` and `q2`.
+pub fn register_paper_views(engine: &ObliDbEngine, table: &str) {
+    for (name, query) in [
+        ("q1", paper_queries::q1_range_count(table)),
+        ("q2", paper_queries::q2_group_by_count(table)),
+    ] {
+        let def = ViewDef::new(name, query).expect("paper queries are view-supported");
+        engine.register_view(&def).expect("view registers");
+    }
+}
+
+/// The selection indexes the maintenance benchmarks keep up to date, as
+/// `(index, column)`; the read benchmarks probe the first alone.
+pub const MAINTAINED_INDEXES: [(&str, &str); 2] =
+    [("emm_pickup", "pickup_id"), ("emm_dropoff", "dropoff_id")];
+
+/// Registers each `(index, column)` of `indexes` on `table`.
+pub fn register_indexes(engine: &ObliDbEngine, table: &str, indexes: &[(&str, &str)]) {
+    for &(name, column) in indexes {
+        let def = IndexDef::new(name, table, column).expect("indexable column");
+        engine.register_index(&def).expect("index registers");
+    }
+}
+
+/// One sample of `reps` reads: a fresh `DpRng` seeded from `seed` is made
+/// outside the clock, and the clock covers the reads.
+pub fn time_reads(
+    reps: usize,
+    seed: u64,
+    mut read: impl FnMut(&mut DpRng) -> Result<QueryOutcome, EdbError>,
+) -> Duration {
+    let mut rng = DpRng::seed_from_u64(seed);
+    let started = Instant::now();
+    for _ in 0..reps {
+        black_box(read(&mut rng).expect("read succeeds"));
+    }
+    started.elapsed()
+}
+
+/// The median over `samples` samples of [`time_reads`], in ns per read.
+pub fn median_read_ns(
+    samples: usize,
+    reps: usize,
+    seed: u64,
+    mut read: impl FnMut(&mut DpRng) -> Result<QueryOutcome, EdbError>,
+) -> f64 {
+    median_ns(samples, || time_reads(reps, seed, &mut read)) / reps as f64
+}
+
+/// Times `read` against the suite's loaded engine.  The records divisor is
+/// the rows the equivalent scan touches, so scan, view and indexed reads
+/// compare directly (`query_q1_view` vs `query_q1_count` ns/op) and a
+/// speedup is a throughput ratio.
+fn bench_read(
     name: &str,
     scale: &SuiteScale,
-    engine: &ObliDbEngine,
-    query: &dpsync_edb::Query,
     seed: u64,
+    mut read: impl FnMut(&mut DpRng) -> Result<QueryOutcome, EdbError>,
 ) -> BenchResult {
     let records =
         (scale.query_rows + scale.query_rows / 4) as u64 * scale.queries_per_sample as u64;
     run_bench(name, scale.samples, records, || {
-        let mut rng = DpRng::seed_from_u64(seed);
-        let started = Instant::now();
-        for _ in 0..scale.queries_per_sample {
-            black_box(engine.query(query, &mut rng).expect("query succeeds"));
-        }
-        started.elapsed()
-    })
-}
-
-/// Times `Π_Query` served from a registered materialized view.  The records
-/// divisor is the same as [`bench_query`]'s (rows the equivalent scan would
-/// touch), so `query_q1_view` vs `query_q1_count` ns/op compare directly and
-/// the view speedup is the throughput ratio.
-fn bench_view_query(
-    name: &str,
-    scale: &SuiteScale,
-    engine: &ObliDbEngine,
-    view: &str,
-    seed: u64,
-) -> BenchResult {
-    let records =
-        (scale.query_rows + scale.query_rows / 4) as u64 * scale.queries_per_sample as u64;
-    run_bench(name, scale.samples, records, || {
-        let mut rng = DpRng::seed_from_u64(seed);
-        let started = Instant::now();
-        for _ in 0..scale.queries_per_sample {
-            black_box(
-                engine
-                    .query_view(view, &mut rng)
-                    .expect("view read succeeds"),
-            );
-        }
-        started.elapsed()
-    })
-}
-
-/// The same `Π_Update` workload as [`bench_pi_update_ingest`] but with both
-/// paper views registered up front, so every ingested record (dummies
-/// included) also flows through the incremental maintenance path.  The delta
-/// against `pi_update_ingest` is the per-record maintenance overhead.
-fn bench_view_maintenance(scale: &SuiteScale, seed: u64) -> BenchResult {
-    let master = MasterKey::from_bytes([0xB3; 32]);
-    let batches = ingest_batches(scale, seed, &master);
-    let records: u64 = batches.iter().map(|b| b.len() as u64).sum();
-    run_bench("view_maintenance", scale.samples, records, || {
-        let engine = ObliDbEngine::new(&master);
-        engine
-            .setup("bench", taxi_like_schema(), Vec::new())
-            .expect("fresh engine");
-        for def in [
-            ViewDef::new("q1", paper_queries::q1_range_count("bench")).expect("supported shape"),
-            ViewDef::new("q2", paper_queries::q2_group_by_count("bench")).expect("supported shape"),
-        ] {
-            engine.register_view(&def).expect("view registers");
-        }
-        let cloned: Vec<_> = batches.to_vec();
-        let started = Instant::now();
-        for (time, batch) in cloned.into_iter().enumerate() {
-            engine
-                .update("bench", time as u64 + 1, batch)
-                .expect("ingest cannot fail");
-        }
-        let elapsed = started.elapsed();
-        black_box(engine.table_stats("bench").ciphertext_count);
-        elapsed
-    })
-}
-
-/// Times a selective `Π_Query` served through a registered encrypted-multimap
-/// index.  The records divisor matches [`bench_query`]'s (rows the equivalent
-/// scan would touch), so `query_q1_emm_select` vs `query_q1_count` ns/op
-/// compare directly and the index speedup is the throughput ratio.
-fn bench_indexed_query(
-    name: &str,
-    scale: &SuiteScale,
-    engine: &ObliDbEngine,
-    index: &str,
-    query: &dpsync_edb::Query,
-    seed: u64,
-) -> BenchResult {
-    let records =
-        (scale.query_rows + scale.query_rows / 4) as u64 * scale.queries_per_sample as u64;
-    run_bench(name, scale.samples, records, || {
-        let mut rng = DpRng::seed_from_u64(seed);
-        let started = Instant::now();
-        for _ in 0..scale.queries_per_sample {
-            black_box(
-                engine
-                    .query_indexed(index, query, &mut rng)
-                    .expect("indexed read succeeds"),
-            );
-        }
-        started.elapsed()
-    })
-}
-
-/// The same `Π_Update` workload as [`bench_pi_update_ingest`] but with two
-/// selection indexes registered up front, so every ingested record (dummies
-/// included — each inserts exactly one entry) also flows through the
-/// encrypted-multimap maintenance path.  The delta against
-/// `pi_update_ingest` is the per-record index-maintenance overhead.
-fn bench_emm_maintenance(scale: &SuiteScale, seed: u64) -> BenchResult {
-    let master = MasterKey::from_bytes([0xB3; 32]);
-    let batches = ingest_batches(scale, seed, &master);
-    let records: u64 = batches.iter().map(|b| b.len() as u64).sum();
-    run_bench("emm_maintenance", scale.samples, records, || {
-        let engine = ObliDbEngine::new(&master);
-        engine
-            .setup("bench", taxi_like_schema(), Vec::new())
-            .expect("fresh engine");
-        for (name, column) in [("emm_pickup", "pickup_id"), ("emm_dropoff", "dropoff_id")] {
-            let def = IndexDef::new(name, "bench", column).expect("indexable column");
-            engine.register_index(&def).expect("index registers");
-        }
-        let cloned: Vec<_> = batches.to_vec();
-        let started = Instant::now();
-        for (time, batch) in cloned.into_iter().enumerate() {
-            engine
-                .update("bench", time as u64 + 1, batch)
-                .expect("ingest cannot fail");
-        }
-        let elapsed = started.elapsed();
-        black_box(engine.table_stats("bench").ciphertext_count);
-        elapsed
+        time_reads(scale.queries_per_sample, seed, &mut read)
     })
 }
 
@@ -1192,57 +1163,47 @@ fn bench_analyst_pose(scale: &SuiteScale, seed: u64) -> BenchResult {
 pub fn run_suite(config: &SuiteConfig) -> BenchReport {
     let scale = SuiteScale::new(config.smoke);
     let seed = config.seed;
-    let engine = query_engine(&scale, seed);
-    // The view benchmarks read from the same loaded engine as the scan
-    // benchmarks; registration backfills from the mirror once, here, outside
-    // every timed region.
-    for (name, query) in [
-        ("q1", paper_queries::q1_range_count("yellow")),
-        ("q2", paper_queries::q2_group_by_count("yellow")),
-    ] {
-        let def = ViewDef::new(name, query).expect("paper queries are view-supported");
-        engine.register_view(&def).expect("view registers");
-    }
-    // The indexed-read benchmark probes the same loaded engine through an
-    // EMM on Q1's predicate column; registration backfills once, here.
-    engine
-        .register_index(&IndexDef::new("emm_pickup", "yellow", "pickup_id").expect("valid index"))
-        .expect("index registers");
+    // The read benchmarks share one loaded engine; view and index
+    // registration backfill from the mirror once, here, outside every timed
+    // region.  The index is an EMM on Q1's predicate column.
+    let engine = loaded_engine("yellow", scale.query_rows, seed);
+    register_paper_views(&engine, "yellow");
+    register_indexes(&engine, "yellow", &MAINTAINED_INDEXES[..1]);
+    let q1 = paper_queries::q1_range_count("yellow");
+    let q2 = paper_queries::q2_group_by_count("yellow");
     let results = vec![
         bench_crypto_encrypt(&scale, seed),
         bench_crypto_decrypt(&scale, seed),
         bench_dp_laplace(&scale, seed),
         bench_dp_svt(&scale, seed),
-        bench_pi_update_ingest(&scale, seed),
+        bench_ingest("pi_update_ingest", &scale, seed, ObliDbEngine::new, |_| {}),
         bench_pi_update_ingest_disk(&scale, seed),
         bench_pi_update_ingest_disk_group(&scale, seed),
         bench_reactor_ingest(&scale, seed),
-        bench_query(
-            "query_q1_count",
-            &scale,
-            &engine,
-            &paper_queries::q1_range_count("yellow"),
-            seed,
-        ),
-        bench_query(
-            "query_q2_group_by",
-            &scale,
-            &engine,
-            &paper_queries::q2_group_by_count("yellow"),
-            seed,
-        ),
-        bench_view_query("query_q1_view", &scale, &engine, "q1", seed),
-        bench_view_query("query_q2_view", &scale, &engine, "q2", seed),
-        bench_indexed_query(
-            "query_q1_emm_select",
-            &scale,
-            &engine,
-            "emm_pickup",
-            &paper_queries::q1_range_count("yellow"),
-            seed,
-        ),
-        bench_view_maintenance(&scale, seed),
-        bench_emm_maintenance(&scale, seed),
+        bench_read("query_q1_count", &scale, seed, |rng| engine.query(&q1, rng)),
+        bench_read("query_q2_group_by", &scale, seed, |rng| {
+            engine.query(&q2, rng)
+        }),
+        bench_read("query_q1_view", &scale, seed, |rng| {
+            engine.query_view("q1", rng)
+        }),
+        bench_read("query_q2_view", &scale, seed, |rng| {
+            engine.query_view("q2", rng)
+        }),
+        bench_read("query_q1_emm_select", &scale, seed, |rng| {
+            engine.query_indexed("emm_pickup", &q1, rng)
+        }),
+        // The same `Π_Update` workload as `pi_update_ingest`, with both
+        // paper views (then two selection indexes) registered up front, so
+        // every ingested record (dummies included) also flows through the
+        // maintenance path; the delta against `pi_update_ingest` is the
+        // per-record maintenance overhead.
+        bench_ingest("view_maintenance", &scale, seed, ObliDbEngine::new, |e| {
+            register_paper_views(e, "bench")
+        }),
+        bench_ingest("emm_maintenance", &scale, seed, ObliDbEngine::new, |e| {
+            register_indexes(e, "bench", &MAINTAINED_INDEXES)
+        }),
         bench_e2e_sync(&scale, seed),
         bench_sparse_tick_sim(&scale, seed),
         bench_analyst_pose(&scale, seed),

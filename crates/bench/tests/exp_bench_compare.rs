@@ -9,14 +9,14 @@ use dpsync_bench::perf::{BenchReport, BenchResult, Tolerance, REPORT_VERSION};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// A scratch directory unique to one test invocation, removed on drop.
+/// A scratch directory unique to one test invocation, removed on drop.  It
+/// sits directly in the temp dir, so removing it leaves nothing behind.
 struct TestDir(PathBuf);
 
 impl TestDir {
     fn new(test: &str) -> Self {
-        let path = std::env::temp_dir()
-            .join(format!("dpsync_exp_bench_{}", std::process::id()))
-            .join(test);
+        let path =
+            std::env::temp_dir().join(format!("dpsync_exp_bench_{}_{test}", std::process::id()));
         let _ = std::fs::remove_dir_all(&path);
         std::fs::create_dir_all(&path).expect("temp dir is writable");
         Self(path)
@@ -179,7 +179,7 @@ fn compare_rejects_bad_tolerance_and_wrong_arity() {
         ])
         .output()
         .expect("binary runs");
-    assert_eq!(output.status.code(), Some(1));
+    assert_eq!(output.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&output.stderr).contains("sideways"));
 
     let output = exp_bench()
@@ -188,6 +188,29 @@ fn compare_rejects_bad_tolerance_and_wrong_arity() {
         .expect("binary runs");
     assert_eq!(output.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&output.stderr).contains("exactly two"));
+}
+
+#[test]
+fn rejected_arguments_exit_2_naming_the_flag() {
+    for (args, flag) in [
+        (&["run", "--smoke", "--seed"][..], "--seed"),
+        (&["--jobs", "x"][..], "--jobs"),
+        (&["run", "--smoek"][..], "--smoek"),
+        (
+            &["compare", "a.json", "b.json", "--tolerance"][..],
+            "--tolerance",
+        ),
+        (&["compare", "a.json", "--bogus", "b.json"][..], "--bogus"),
+    ] {
+        let output = exp_bench().args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("exp_bench:") && stderr.contains(flag),
+            "{args:?}: {stderr}"
+        );
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    }
 }
 
 #[test]

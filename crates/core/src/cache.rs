@@ -6,24 +6,11 @@
 //! more records than are cached pops everything and reports how many dummy
 //! records the caller must add to reach `n`.
 //!
-//! FIFO ordering is the default (and is what makes DP-Sync satisfy the strong
-//! "consistent eventually" property P3); a LIFO policy is provided for the
-//! scenario sketched in the paper where the analyst only cares about the most
-//! recent records.
+//! Reads drain in FIFO order, which is what makes DP-Sync satisfy the strong
+//! "consistent eventually" property P3.
 
 use dpsync_edb::Row;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-
-/// The order in which cached records are drained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum CachePolicy {
-    /// First-in first-out (paper default; preserves arrival order — P3).
-    #[default]
-    Fifo,
-    /// Last-in first-out (freshest records first).
-    Lifo,
-}
 
 /// The result of a cache read.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,27 +32,13 @@ impl CacheRead {
 /// The owner's local cache.
 #[derive(Debug, Clone, Default)]
 pub struct LocalCache {
-    policy: CachePolicy,
     queue: VecDeque<Row>,
 }
 
 impl LocalCache {
-    /// Creates an empty FIFO cache.
+    /// Creates an empty cache.
     pub fn new() -> Self {
-        Self::with_policy(CachePolicy::Fifo)
-    }
-
-    /// Creates an empty cache with the given drain policy.
-    pub fn with_policy(policy: CachePolicy) -> Self {
-        Self {
-            policy,
-            queue: VecDeque::new(),
-        }
-    }
-
-    /// The drain policy.
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
+        Self::default()
     }
 
     /// `len(σ)`: number of records currently cached.
@@ -90,17 +63,13 @@ impl LocalCache {
         }
     }
 
-    /// `read(σ, n)`: pops up to `n` records according to the policy; if fewer
-    /// than `n` are cached, pops everything and reports the dummy deficit.
+    /// `read(σ, n)`: pops up to `n` records, oldest first; if fewer than `n`
+    /// are cached, pops everything and reports the dummy deficit.
     pub fn read(&mut self, n: u64) -> CacheRead {
         let take = (n.min(self.queue.len() as u64)) as usize;
         let mut records = Vec::with_capacity(take);
         for _ in 0..take {
-            let row = match self.policy {
-                CachePolicy::Fifo => self.queue.pop_front(),
-                CachePolicy::Lifo => self.queue.pop_back(),
-            };
-            records.push(row.expect("length checked above"));
+            records.push(self.queue.pop_front().expect("length checked above"));
         }
         CacheRead {
             dummies_needed: n - records.len() as u64,
@@ -131,7 +100,6 @@ mod tests {
         cache.write_all([row(2), row(3)]);
         assert_eq!(cache.len(), 3);
         assert!(!cache.is_empty());
-        assert_eq!(cache.policy(), CachePolicy::Fifo);
     }
 
     #[test]
@@ -146,15 +114,6 @@ mod tests {
         // The remaining records are still in order.
         let rest = cache.read(2);
         assert_eq!(rest.records, vec![row(3), row(4)]);
-    }
-
-    #[test]
-    fn lifo_read_returns_freshest_first() {
-        let mut cache = LocalCache::with_policy(CachePolicy::Lifo);
-        cache.write_all([row(1), row(2), row(3)]);
-        let read = cache.read(2);
-        assert_eq!(read.records, vec![row(3), row(2)]);
-        assert_eq!(cache.policy(), CachePolicy::Lifo);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! differentially private (Definition 5):
 //!
 //! * [`timeline`] — discrete time.
-//! * [`cache`] — the local cache σ (FIFO by default, LIFO optional) with the
+//! * [`cache`] — the local FIFO cache σ with the
 //!   paper's `len` / `write` / `read`-with-dummy-padding operations.
 //! * [`perturb`] — the `Perturb` operator (Algorithm 2).
 //! * [`strategy`] — the synchronization strategies: the naïve baselines
@@ -45,7 +45,7 @@ pub mod sparse;
 pub mod strategy;
 pub mod timeline;
 
-pub use cache::{CachePolicy, LocalCache};
+pub use cache::LocalCache;
 pub use metrics::{SimulationReport, SizeSample};
 pub use owner::{Owner, TickReport};
 pub use simulation::{Simulation, SimulationConfig};

@@ -9,11 +9,10 @@
 //! series plus the aggregate statistics the paper reports in Table 5.
 
 use crate::strategy::StrategyKind;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// One query-error observation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuerySample {
     /// The time unit the query was posed at.
     pub time: u64,
@@ -28,7 +27,7 @@ pub struct QuerySample {
 }
 
 /// One storage-size observation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SizeSample {
     /// The time unit of the observation.
     pub time: u64,
@@ -48,7 +47,7 @@ pub struct SizeSample {
 
 /// The full output of one simulated run (one strategy × one engine × one
 /// workload).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationReport {
     /// The synchronization strategy that was run.
     pub strategy: StrategyKind,

@@ -10,17 +10,16 @@
 //! ObliDB-like and Crypt-ε-like engines (and any future engine satisfying the
 //! P4 constraints).
 
-use crate::cache::{CachePolicy, LocalCache};
+use crate::cache::LocalCache;
 use crate::strategy::{SyncDecision, SyncStrategy, TickContext};
 use crate::timeline::Timestamp;
 use dpsync_crypto::{MasterKey, RecordCryptor};
 use dpsync_edb::sogdb::{EdbError, SecureOutsourcedDatabase};
 use dpsync_edb::{Row, Schema};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// What happened at one time unit from the owner's perspective.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TickReport {
     /// The time unit this report covers.
     pub time: Timestamp,
@@ -74,23 +73,12 @@ impl std::fmt::Debug for Owner {
 }
 
 impl Owner {
-    /// Creates an owner for `table` using the default FIFO cache.
+    /// Creates an owner for `table` with an empty cache.
     pub fn new(
         table: impl Into<String>,
         schema: Schema,
         master: &MasterKey,
         strategy: Box<dyn SyncStrategy>,
-    ) -> Self {
-        Self::with_cache_policy(table, schema, master, strategy, CachePolicy::Fifo)
-    }
-
-    /// Creates an owner with an explicit cache drain policy.
-    pub fn with_cache_policy(
-        table: impl Into<String>,
-        schema: Schema,
-        master: &MasterKey,
-        strategy: Box<dyn SyncStrategy>,
-        policy: CachePolicy,
     ) -> Self {
         let table = table.into();
         // Several owners may share one engine (and therefore one master key),
@@ -109,7 +97,7 @@ impl Owner {
             table,
             schema,
             strategy,
-            cache: LocalCache::with_policy(policy),
+            cache: LocalCache::new(),
             cryptor: RecordCryptor::with_sequence(master, sequence_base),
             received_total: 0,
             outsourced_real: 0,

@@ -15,7 +15,6 @@ use crate::strategy::{CacheFlush, SyncDecision, SyncStrategy, TickContext};
 use crate::timeline::Timestamp;
 use dpsync_dp::{DpRng, Epsilon};
 use dpsync_edb::UpdatePattern;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// An arrival stream: `arrivals[t - 1]` is the number of records received at
@@ -73,7 +72,7 @@ pub fn simulate_update_pattern(
 
 /// The statistic of an update pattern over which the tester builds its
 /// histograms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PatternStatistic {
     /// Total volume uploaded over the whole run.
     TotalVolume,
@@ -99,7 +98,7 @@ impl PatternStatistic {
 }
 
 /// The result of an empirical odds-ratio test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DpTestResult {
     /// Largest observed probability ratio across well-populated buckets.
     pub max_ratio: f64,

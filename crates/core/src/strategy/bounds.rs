@@ -10,10 +10,9 @@
 use super::{CacheFlush, StrategyKind};
 use crate::timeline::Timestamp;
 use dpsync_dp::{ant_logical_gap_bound, timer_logical_gap_bound, Epsilon};
-use serde::{Deserialize, Serialize};
 
 /// The parameters the Table-2 formulas depend on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundContext {
     /// Privacy budget ε for the DP strategies.
     pub epsilon: Epsilon,
@@ -34,7 +33,7 @@ pub struct BoundContext {
 }
 
 /// One evaluated row of Table 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoundsRow {
     /// The strategy.
     pub strategy: StrategyKind,

@@ -10,10 +10,9 @@
 //! reach the server no later than `t = f · L / s`.
 
 use crate::timeline::Timestamp;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the periodic cache flush.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheFlush {
     /// Flush interval `f`, in time units.
     pub interval: u64,

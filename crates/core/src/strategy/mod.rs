@@ -26,10 +26,9 @@ pub use timer::DpTimerStrategy;
 use crate::timeline::Timestamp;
 use dpsync_dp::{Epsilon, PrivacyAccountant};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// The strategies implemented in this crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StrategyKind {
     /// Synchronize upon receipt (no privacy).
     Sur,
@@ -82,7 +81,7 @@ impl std::fmt::Display for StrategyKind {
 }
 
 /// Why a synchronization was posted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncReason {
     /// The strategy's own schedule / threshold fired.
     Strategy,
@@ -92,7 +91,7 @@ pub enum SyncReason {
 }
 
 /// The decision a strategy returns for one time unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncDecision {
     /// Do not run the update protocol at this time unit.
     None,

@@ -7,12 +7,8 @@
 //! of a [`crate::sparse::OwnerWorkload`], which also supports the paper's
 //! generalization to several records per unit.
 
-use serde::{Deserialize, Serialize};
-
 /// A discrete time unit (the evaluation uses one-minute units).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(pub u64);
 
 impl Timestamp {

@@ -15,7 +15,7 @@
 use crate::Epsilon;
 
 /// How two mechanisms relate to the data they observe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Composition {
     /// Both mechanisms observe the same records (budgets add).
     Sequential,
@@ -50,7 +50,7 @@ pub fn parallel<I: IntoIterator<Item = Epsilon>>(budgets: I) -> Option<Epsilon> 
 }
 
 /// A named expenditure recorded by the accountant.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Expenditure {
     /// Human-readable label ("perturb", "svt-round", "setup", ...).
     pub label: String,
@@ -61,7 +61,7 @@ pub struct Expenditure {
 }
 
 /// The remaining/consumed budget view of a [`PrivacyAccountant`].
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrivacyBudget {
     /// The total budget the owner configured.
     pub total: Epsilon,

@@ -43,7 +43,7 @@ pub use svt::{AboveNoisyThreshold, SvtOutcome};
 /// A thin newtype so that privacy budgets are not accidentally confused with
 /// other `f64` parameters (thresholds, sensitivities, ...).  The value must be
 /// strictly positive and finite; `Epsilon::new` enforces this.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Epsilon(f64);
 
 impl Epsilon {

@@ -13,10 +13,8 @@
 //! Engines also report real wall-clock time for their (plaintext-simulated)
 //! execution; both numbers appear in experiment outputs.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-operation cost coefficients, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Fixed per-query overhead (protocol setup, enclave entry, ...).
     pub query_overhead: f64,

@@ -23,7 +23,6 @@ pub use oblidb::ObliDbEngine;
 use crate::backend::{StorageBackend, StorageError};
 use crate::sogdb::SecureOutsourcedDatabase;
 use dpsync_crypto::MasterKey;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Which encrypted-database engine hosts the outsourced data.
@@ -32,7 +31,7 @@ use std::sync::Arc;
 /// simulation driver, the `dpsync-bench` experiment harness, the examples —
 /// selects engines (and their storage backend) through one type instead of
 /// each reinventing the dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// The ObliDB-like engine (L-0).
     ObliDb,

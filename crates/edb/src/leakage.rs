@@ -9,11 +9,9 @@
 //!   compatibility verdict, and [`catalog`] reproduces Table 3's inventory of
 //!   published systems.
 
-use serde::{Deserialize, Serialize};
-
 /// One observed update event: the time it happened and how many ciphertexts
 /// it carried (the "update volume").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpdateEvent {
     /// Discrete time unit at which the update protocol ran.
     pub time: u64,
@@ -23,7 +21,7 @@ pub struct UpdateEvent {
 }
 
 /// The update pattern `UpdtPatt(Σ, D) = {(t, |γ_t|)}` of Definition 2.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UpdatePattern {
     events: Vec<UpdateEvent>,
 }
@@ -72,7 +70,7 @@ impl UpdatePattern {
 }
 
 /// The four leakage categories of §6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LeakageClass {
     /// L-0: access-pattern and response-volume hiding.
     L0ResponseVolumeHiding,
@@ -118,7 +116,7 @@ impl std::fmt::Display for LeakageClass {
 }
 
 /// A catalog entry describing a published encrypted database scheme.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CatalogEntry {
     /// System name as it appears in the paper.
     pub name: &'static str,
@@ -231,7 +229,7 @@ pub fn catalog() -> Vec<CatalogEntry> {
 }
 
 /// A leakage profile for a concrete engine implementation in this workspace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeakageProfile {
     /// Leakage class of the query protocol.
     pub class: LeakageClass,
@@ -256,7 +254,7 @@ impl LeakageProfile {
 /// fetched — a response-volume-shaped signal the full scan does not emit.
 /// The planner tags every plan it produces so the analyst (and the privacy
 /// harness) can account for exactly what each executed query declared.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlanLeakage {
     /// The plan reveals nothing beyond the engine's baseline transcript (a
     /// full scan touches every stored ciphertext, a number the adversary

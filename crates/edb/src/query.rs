@@ -12,11 +12,10 @@
 //! §4.5.2.
 
 use crate::schema::{GroupKey, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A predicate over a single table's columns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// `column = value`
     Eq(String, Value),
@@ -69,7 +68,7 @@ impl Predicate {
 }
 
 /// A query against the outsourced database.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Query {
     /// `SELECT COUNT(*) FROM table [WHERE predicate]`
     Count {
@@ -133,7 +132,7 @@ impl Query {
 }
 
 /// The answer to a query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QueryAnswer {
     /// A single numeric answer (counts; may be non-integral after DP noise).
     Scalar(f64),

@@ -6,10 +6,9 @@
 //! [`dpsync_crypto::RECORD_PAYLOAD_LEN`] payload of an encrypted record.
 
 use crate::schema::{Schema, Value};
-use serde::{Deserialize, Serialize};
 
 /// A row of typed values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     values: Vec<Value>,
 }

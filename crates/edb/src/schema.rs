@@ -6,11 +6,10 @@
 //! and equi-join counts.  The model nevertheless supports arbitrary column
 //! sets so the engines are reusable beyond the reproduction workload.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The data types a column may hold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// Signed 64-bit integer.
     Int,
@@ -25,7 +24,7 @@ pub enum DataType {
 }
 
 /// A single typed value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Signed integer value.
     Int(i64),
@@ -115,7 +114,7 @@ impl fmt::Display for Value {
 
 /// A hashable, orderable key derived from a [`Value`], used by group-by and
 /// join operators.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum GroupKey {
     /// NULL key (groups all NULLs together, as SQL GROUP BY does).
     Null,
@@ -145,7 +144,7 @@ impl fmt::Display for GroupKey {
 }
 
 /// A column definition: name and type.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnDef {
     /// Column name (unique within a schema).
     pub name: String,
@@ -164,7 +163,7 @@ impl ColumnDef {
 }
 
 /// A table schema: an ordered list of column definitions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     columns: Vec<ColumnDef>,
 }

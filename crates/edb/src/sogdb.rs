@@ -25,7 +25,6 @@ use crate::server::AdversaryView;
 use crate::views::ViewDef;
 use dpsync_crypto::{CryptoError, EncryptedRecord};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// Errors surfaced by SOGDB protocol implementations.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,7 +118,7 @@ impl From<StorageError> for EdbError {
 
 /// Size statistics of one outsourced table, as measurable by the owner or the
 /// experiment harness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TableStats {
     /// Number of ciphertexts stored on the server.
     pub ciphertext_count: u64,
@@ -141,7 +140,7 @@ impl TableStats {
 }
 
 /// The outcome of one `Π_Query` run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutcome {
     /// The answer released to the analyst.
     pub answer: QueryAnswer,

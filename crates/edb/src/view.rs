@@ -7,10 +7,9 @@
 //! `dpsync-core` consumes it without ever touching owner-side state.
 
 use crate::leakage::{UpdateEvent, UpdatePattern};
-use serde::{Deserialize, Serialize};
 
 /// One query observation in the adversary's transcript.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryObservation {
     /// Monotone sequence number of the query.
     pub sequence: u64,
@@ -25,7 +24,7 @@ pub struct QueryObservation {
 }
 
 /// Everything the semi-honest server observes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdversaryView {
     update_pattern: UpdatePattern,
     queries: Vec<QueryObservation>,

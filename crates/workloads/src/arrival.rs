@@ -6,10 +6,9 @@
 //! data densities (e.g. the "sparse database" discussion in Observation 2).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// An arrival-process model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// At most one record per tick, arriving with the given probability.
     Bernoulli {

@@ -22,7 +22,6 @@ use dpsync_core::sparse::OwnerWorkload;
 use dpsync_dp::DpRng;
 use dpsync_edb::{DataType, Row, Schema, Value};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Number of TLC taxi zones.
 pub const TLC_ZONE_COUNT: i64 = 265;
@@ -34,7 +33,7 @@ pub const YELLOW_CAB_RECORDS: u64 = 18_429;
 pub const GREEN_TAXI_RECORDS: u64 = 21_300;
 
 /// One taxi trip record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaxiRecord {
     /// Pickup time as a minute offset into the observation window; doubles
     /// as the arrival time of the record at the owner (the paper multiplexes
@@ -75,7 +74,7 @@ pub fn taxi_schema() -> Schema {
 }
 
 /// Configuration of the synthetic generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaxiConfig {
     /// Exact number of records to generate.
     pub record_count: u64,
@@ -127,7 +126,7 @@ impl TaxiConfig {
 }
 
 /// A generated (or loaded) taxi dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaxiDataset {
     records: Vec<TaxiRecord>,
     horizon: u64,

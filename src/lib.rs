@@ -38,7 +38,7 @@ pub use dpsync_workloads as workloads;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use dpsync_core::{
-        cache::{CachePolicy, LocalCache},
+        cache::LocalCache,
         metrics::SimulationReport,
         simulation::{Simulation, SimulationConfig},
         strategy::{

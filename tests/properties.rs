@@ -2,7 +2,7 @@
 //! invariants, strategy invariants, crypto round-trips and the theoretical
 //! bounds of Table 2 checked against simulated runs.
 
-use dp_sync::core::cache::{CachePolicy, LocalCache};
+use dp_sync::core::cache::LocalCache;
 use dp_sync::core::strategy::{
     AboveNoisyThresholdStrategy, CacheFlush, DpTimerStrategy, SyncStrategy, SynchronizeEveryTime,
     SynchronizeUponReceipt, TickContext,
@@ -31,7 +31,7 @@ proptest! {
     /// were written and reports a dummy deficit that tops the read up to `n`.
     #[test]
     fn cache_read_conserves_records(rows in prop::collection::vec(arbitrary_row(), 0..60), read_size in 0u64..100) {
-        let mut cache = LocalCache::with_policy(CachePolicy::Fifo);
+        let mut cache = LocalCache::new();
         cache.write_all(rows.clone());
         let before = cache.len();
         let read = cache.read(read_size);
